@@ -170,7 +170,6 @@ def run_jacobi_ft(
     obs=None,
     *,
     engine: str | None = None,
-    timeof_backend: str | None = None,
 ) -> JacobiFTResult:
     """Run the Jacobi solver to completion through machine failures.
 
@@ -237,7 +236,7 @@ def run_jacobi_ft(
             return ("failed", repairs, str(exc))
 
     result = run_hmpi(app, cluster, timeout=timeout, ft=ft, obs=obs,
-                      engine=engine, timeof_backend=timeof_backend)
+                      engine=engine)
     host_out = result.results[0]
     dead: list[int] = []
     for r, exc in enumerate(result.exceptions):

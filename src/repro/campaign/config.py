@@ -28,9 +28,9 @@ asserted by the property tests:
   the merged parameter values, and the parent stream is re-created per
   run so no draw-order dependence leaks in.
 - Execution-only parameters (:data:`EXECUTION_AXES`: the simulation
-  ``engine`` and the ``timeof_backend``) are excluded from the key, so
-  an ``engine`` axis sweeps *the same* seeded scenarios under both
-  engines and their rows can be compared bitwise.
+  ``engine``) are excluded from the key, so an ``engine`` axis sweeps
+  *the same* seeded scenarios under both engines and their rows can be
+  compared bitwise.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ __all__ = [
 
 #: Parameters that choose *how* a scenario is simulated, not *what*
 #: happens in it; excluded from seed derivation (see module docstring).
-EXECUTION_AXES = frozenset({"engine", "timeof_backend"})
+EXECUTION_AXES = frozenset({"engine"})
 
 _TOP_LEVEL_KEYS = frozenset({"name", "app", "seed", "fixed", "axes"})
 

@@ -7,13 +7,12 @@ library's public entry points, and returns a flat dict of deterministic
 metrics (virtual times, counts, selections — never wall-clock), so
 result rows are bitwise reproducible from the config and seed.
 
-Three drivers ship:
+Five drivers ship:
 
 ``timeof_em3d``
     Selection-only: runs each mapper on the paper's EM3D instance and
-    reports the predicted execution time of the chosen group — the
-    campaign port of ``benchmarks/bench_ablation_mapper.py`` (identical
-    numbers under identical parameters).
+    reports the predicted execution time of the chosen group (the
+    mapper ablation of EXPERIMENTS.md).
 
 ``jacobi_ft``
     The fault-tolerant Jacobi solver through machine deaths and
@@ -32,15 +31,13 @@ Three drivers ship:
 ``em3d_recon``
     End-to-end recon ablation: runs the same EM3D instance as the MPI
     baseline and as HMPI with ``recon`` on or off (the natural axis)
-    under per-machine external load — the campaign port of
-    ``benchmarks/bench_ablation_recon.py``.  Both variants of a cell
+    under per-machine external load.  Both variants of a cell
     see the *identical* scenario: the per-run rng contributes one
     scenario seed, re-expanded per variant.
 
 ``groupsize_amdahl``
     Automatic group sizing on an Amdahl-style workload (divisible work
-    plus a serial per-member combine at the root) — the campaign port of
-    ``benchmarks/bench_ablation_groupsize.py``.  Sweeping the
+    plus a serial per-member combine at the root).  Sweeping the
     ``combine_cost`` axis shows the tuned group shrinking as the serial
     fraction grows; the cell also executes the tuned group and reports
     the measured virtual time against the prediction.
@@ -101,7 +98,7 @@ class Driver:
 
 
 # ----------------------------------------------------------------------
-# timeof_em3d — selection-only mapper ablation (mirrors the bench)
+# timeof_em3d — selection-only mapper ablation
 # ----------------------------------------------------------------------
 
 def _timeof_em3d(params: dict, rng: np.random.Generator) -> dict:
@@ -151,7 +148,6 @@ def _jacobi_ft(params: dict, rng: np.random.Generator) -> dict:
         max_repairs=int(params["max_repairs"]),
         timeout=params["timeout"],
         engine=params["engine"],
-        timeof_backend=params["timeof_backend"],
     )
     recovered = res.grid is not None
     bitwise_ok = (
@@ -310,7 +306,7 @@ def _iterative(params: dict, rng: np.random.Generator) -> dict:
     result = run_hmpi(
         app, cluster, timeout=params["timeout"],
         ft=resolve_ft(params["ft"]) if params["ft"] else None,
-        engine=params["engine"], timeof_backend=params["timeof_backend"],
+        engine=params["engine"],
     )
     host = result.results[0]
     if not isinstance(host, dict) or "iterations" not in host:
@@ -327,7 +323,7 @@ def _iterative(params: dict, rng: np.random.Generator) -> dict:
 
 
 # ----------------------------------------------------------------------
-# em3d_recon — end-to-end recon ablation (mirrors bench_ablation_recon)
+# em3d_recon — end-to-end recon ablation
 # ----------------------------------------------------------------------
 
 def _em3d_recon(params: dict, rng: np.random.Generator) -> dict:
@@ -372,7 +368,7 @@ def _em3d_recon(params: dict, rng: np.random.Generator) -> dict:
 
 
 # ----------------------------------------------------------------------
-# groupsize_amdahl — automatic group sizing (mirrors bench_ablation_groupsize)
+# groupsize_amdahl — automatic group sizing
 # ----------------------------------------------------------------------
 
 def _amdahl_family(total_work: float, partial_bytes: float,
@@ -440,8 +436,7 @@ def _groupsize_amdahl(params: dict, rng: np.random.Generator) -> dict:
         return best_p, best_time, all_machines, measured
 
     res = run_hmpi(
-        app, cluster, timeout=params["timeout"],
-        engine=params["engine"], timeof_backend=params["timeof_backend"],
+        app, cluster, timeout=params["timeout"], engine=params["engine"],
     )
     best_p, best_time, all_machines, _ = res.results[0]
     measured = max(m for *_, m in res.results if m is not None)
@@ -467,7 +462,6 @@ _SCENARIO_DEFAULTS = {
 
 _EXEC_DEFAULTS = {
     "engine": None,
-    "timeof_backend": None,
     "ft": None,
     "timeout": 120.0,
 }
@@ -489,8 +483,7 @@ DRIVERS: dict[str, Driver] = {
         fn=_jacobi_ft,
         params=("cluster", "n", "p", "niter", "k", "grid_seed",
                 "checkpoint_every", "mapper", "ft", "max_repairs",
-                "timeout", "engine", "timeof_backend", "deaths",
-                "transient", "loads"),
+                "timeout", "engine", "deaths", "transient", "loads"),
         defaults={
             **_SCENARIO_DEFAULTS, **_EXEC_DEFAULTS,
             "cluster": {"kind": "uniform", "speeds": [100.0] * 4},
@@ -504,7 +497,7 @@ DRIVERS: dict[str, Driver] = {
         fn=_iterative,
         params=("cluster", "n", "p", "niter", "k", "chunk", "policy",
                 "mapper", "ft", "max_repairs", "timeout", "engine",
-                "timeof_backend", "deaths", "transient", "loads", "churn"),
+                "deaths", "transient", "loads", "churn"),
         defaults={
             **_SCENARIO_DEFAULTS, **_EXEC_DEFAULTS,
             "cluster": {"kind": "uniform", "speeds": [100.0] * 4},
@@ -517,8 +510,8 @@ DRIVERS: dict[str, Driver] = {
         name="groupsize_amdahl",
         fn=_groupsize_amdahl,
         params=("cluster", "combine_cost", "total_work", "partial_bytes",
-                "max_p", "mapper", "timeout", "engine", "timeof_backend",
-                "deaths", "transient", "loads"),
+                "max_p", "mapper", "timeout", "engine", "deaths",
+                "transient", "loads"),
         defaults={
             **_SCENARIO_DEFAULTS, **_EXEC_DEFAULTS,
             "combine_cost": 0.0, "total_work": 900.0,

@@ -176,8 +176,7 @@ def _engine_flag(sub) -> None:
     from .mpi.scheduler import ENGINE_BACKENDS
 
     sub.add_argument("--engine", choices=list(ENGINE_BACKENDS), default=None,
-                     help="scheduling backend (default: events, or the "
-                          "REPRO_ENGINE environment variable)")
+                     help="scheduling backend (default: events)")
 
 
 def _scenario_flags(sub) -> None:

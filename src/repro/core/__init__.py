@@ -40,7 +40,6 @@ from .seleng import (
     SelectionStats,
     TraceEvaluator,
     compile_trace,
-    evaluate_mapping,
     evaluate_mappings,
 )
 from .recon import kernel_benchmark, matmul_kernel, stencil_kernel, unit_benchmark
@@ -81,7 +80,6 @@ __all__ = [
     "SelectionStats",
     "TraceEvaluator",
     "compile_trace",
-    "evaluate_mapping",
     "evaluate_mappings",
     "unit_benchmark",
     "kernel_benchmark",

@@ -49,7 +49,6 @@ __all__ = [
     "estimate_time",
     "estimate_breakdown",
     "record_trace",
-    "replay_trace",
 ]
 
 
@@ -182,74 +181,6 @@ def record_trace(model: AbstractBoundModel) -> list[tuple[bool, float, int, int]
         except AttributeError:  # models with __slots__ just skip the cache
             pass
     return cached
-
-
-def replay_trace(
-    trace: Sequence[tuple[bool, float, int, int]],
-    node_volumes: np.ndarray,
-    link_volumes: np.ndarray,
-    speeds: Sequence[float],
-    netmodel: NetworkModel,
-    machines: Sequence[int],
-) -> float:
-    """Resource-clock replay of a recorded trace; returns the makespan.
-
-    Semantically identical to :class:`TimelineVisitor` but with pair costs
-    precomputed: single-protocol links collapse to an inline
-    ``latency + bytes/bandwidth``, multi-protocol links fall back to
-    per-message protocol selection.
-
-    Legacy single-candidate path, kept as a readable reference; the
-    selection hot paths (mappers, ``estimate_time``) now run on the
-    compiled engine in :mod:`repro.core.seleng`.
-    """
-    n = len(node_volumes)
-    single_port = netmodel.cluster.single_port
-    cpu = [0.0] * n
-    ready = [0.0] * n
-    link_busy: dict[tuple[int, int], float] = {}
-    # Precompute per-pair cost parameters for pairs that appear.
-    pair_cost: dict[tuple[int, int], tuple[float, float] | None] = {}
-    inv_speed = [1.0 / s for s in speeds]
-    nv = node_volumes
-    lv = link_volumes
-    for is_transfer, fraction, a, b in trace:
-        if not is_transfer:
-            start = cpu[a] if cpu[a] >= ready[a] else ready[a]
-            finish = start + fraction * nv[a] * inv_speed[a]
-            cpu[a] = finish
-            ready[a] = finish
-            continue
-        nbytes = fraction * lv[a, b]
-        if nbytes <= 0.0 or a == b:
-            continue
-        key = (a, b)
-        cost = pair_cost.get(key, -1)
-        if cost == -1:
-            link = netmodel.cluster.link(machines[a], machines[b])
-            if len(link.protocols) == 1 or link.pinned is not None:
-                proto = link.protocol_for(1)
-                cost = (proto.latency, proto.bandwidth)
-            else:
-                cost = None
-            pair_cost[key] = cost
-        depart = cpu[a]
-        start = depart
-        busy = link_busy.get(key, 0.0)
-        if busy > start:
-            start = busy
-        if cost is not None:
-            lat, bw = cost
-            arrival = start + lat + nbytes / bw
-        else:
-            link = netmodel.cluster.link(machines[a], machines[b])
-            lat = link.effective_latency(int(nbytes))
-            arrival = start + link.transfer_time(int(round(nbytes)))
-        link_busy[key] = arrival
-        cpu[a] = arrival if single_port else depart + lat
-        if arrival > ready[b]:
-            ready[b] = arrival
-    return max(max(c, r) for c, r in zip(cpu, ready)) if cpu else 0.0
 
 
 def estimate_time(

@@ -35,7 +35,6 @@ groups".
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -49,7 +48,7 @@ import numpy as np
 from ..perfmodel.model import AbstractBoundModel
 from ..util.errors import MappingError
 from .netmodel import NetworkModel
-from .seleng import InterpEvaluator, SelectionStats, TraceEvaluator, make_evaluator
+from .seleng import SelectionStats, TraceEvaluator
 
 __all__ = [
     "Mapping",
@@ -82,12 +81,11 @@ def _build_mapping(
     processes: Sequence[int],
     model: AbstractBoundModel,
     netmodel: NetworkModel,
-    evaluator: TraceEvaluator | InterpEvaluator | None = None,
+    stats: SelectionStats | None = None,
 ) -> Mapping:
     machines = tuple(netmodel.machine_of(p) for p in processes)
-    if evaluator is None:
-        evaluator = TraceEvaluator(model, netmodel)  # default backend
-    return Mapping(tuple(processes), machines, evaluator.evaluate(machines))
+    time = TraceEvaluator(model, netmodel, stats).evaluate(machines)
+    return Mapping(tuple(processes), machines, time)
 
 
 def _check_inputs(
@@ -125,58 +123,12 @@ class Mapper(ABC):
         fixed: MappingABC[int, int] | None = None,
         *,
         stats: SelectionStats | None = None,
-        backend: str | None = None,
     ) -> Mapping:
         """Choose a process per abstract processor minimising predicted time.
 
         ``stats``, when given, receives the engine's evaluation counters
         (and any mapper-specific counts such as symmetry pruning).
-        ``backend`` names the Timeof backend used to price candidates
-        (one of :data:`repro.core.seleng.TIMEOF_BACKENDS`; ``None`` means
-        the default compiled trace).
         """
-
-
-def _supports_stats(mapper: Mapper) -> bool:
-    """Whether a mapper's ``select`` accepts the ``stats`` keyword.
-
-    Third-party mappers written against the pre-engine interface keep
-    working: callers use this probe before passing ``stats`` through.
-    """
-    try:
-        return "stats" in inspect.signature(mapper.select).parameters
-    except (TypeError, ValueError):
-        return False
-
-
-def _supports_backend(mapper: Mapper) -> bool:
-    """Whether a mapper's ``select`` accepts the ``backend`` keyword.
-
-    Same compatibility probe as :func:`_supports_stats`: mappers written
-    before the Timeof backends existed silently keep their default
-    pricing.
-    """
-    try:
-        return "backend" in inspect.signature(mapper.select).parameters
-    except (TypeError, ValueError):
-        return False
-
-
-def _seed_select(
-    seed: Mapper,
-    model: AbstractBoundModel,
-    netmodel: NetworkModel,
-    candidates: Sequence[int],
-    fixed: MappingABC[int, int],
-    stats: SelectionStats | None,
-    backend: str | None = None,
-) -> Mapping:
-    kwargs: dict = {}
-    if stats is not None and _supports_stats(seed):
-        kwargs["stats"] = stats
-    if backend is not None and _supports_backend(seed):
-        kwargs["backend"] = backend
-    return seed.select(model, netmodel, candidates, fixed, **kwargs)
 
 
 class ExhaustiveMapper(Mapper):
@@ -218,14 +170,13 @@ class ExhaustiveMapper(Mapper):
         fixed: MappingABC[int, int] | None = None,
         *,
         stats: SelectionStats | None = None,
-        backend: str | None = None,
     ) -> Mapping:
         fixed = dict(fixed or {})
         _check_inputs(model, candidates, fixed)
         n = model.nproc
         free_slots = [i for i in range(n) if i not in fixed]
         pool = [c for c in candidates if c not in set(fixed.values())]
-        evaluator = make_evaluator(model, netmodel, stats, backend)
+        evaluator = TraceEvaluator(model, netmodel, stats)
 
         base = [0] * n
         for idx, proc in fixed.items():
@@ -331,7 +282,6 @@ class GreedyMapper(Mapper):
         fixed: MappingABC[int, int] | None = None,
         *,
         stats: SelectionStats | None = None,
-        backend: str | None = None,
     ) -> Mapping:
         fixed = dict(fixed or {})
         _check_inputs(model, candidates, fixed)
@@ -377,8 +327,7 @@ class GreedyMapper(Mapper):
             claim(i, best_proc)
 
         return _build_mapping(
-            [p for p in assignment if p is not None], model, netmodel,
-            evaluator=make_evaluator(model, netmodel, stats, backend),
+            [p for p in assignment if p is not None], model, netmodel, stats
         )
 
 
@@ -404,15 +353,14 @@ class RefineMapper(Mapper):
         fixed: MappingABC[int, int] | None = None,
         *,
         stats: SelectionStats | None = None,
-        backend: str | None = None,
     ) -> Mapping:
         fixed = dict(fixed or {})
-        current = _seed_select(
-            self.seed, model, netmodel, candidates, fixed, stats, backend
+        current = self.seed.select(
+            model, netmodel, candidates, fixed, stats=stats
         )
         n = model.nproc
         pinned = set(fixed.keys())
-        evaluator = make_evaluator(model, netmodel, stats, backend)
+        evaluator = TraceEvaluator(model, netmodel, stats)
 
         for _ in range(self.max_rounds):
             assignment = list(current.processes)
@@ -467,11 +415,8 @@ class DefaultMapper(Mapper):
         fixed: MappingABC[int, int] | None = None,
         *,
         stats: SelectionStats | None = None,
-        backend: str | None = None,
     ) -> Mapping:
-        return self._impl.select(
-            model, netmodel, candidates, fixed, stats=stats, backend=backend
-        )
+        return self._impl.select(model, netmodel, candidates, fixed, stats=stats)
 
 
 # ----------------------------------------------------------------------
@@ -520,9 +465,6 @@ def resolve_mapper(
         instance = _RESOLVED.get(key)
         if instance is None:
             factory = MAPPER_REGISTRY.get(key)
-            if factory is None and key == "anneal":
-                from . import samapper  # noqa: F401  (registers "anneal")
-                factory = MAPPER_REGISTRY.get(key)
             if factory is None:
                 raise MappingError(
                     f"unknown mapper {spec!r}; available: "

@@ -56,21 +56,17 @@ from ..util.errors import (
     HMPIStateError,
     MachineFailure,
     MappingError,
-    OptionError,
     RankFailedError,
 )
-from ..util.options import check_choice
 from .group import HMPIGroup
 from .mapper import (
     DefaultMapper,
     Mapper,
     Mapping,
-    _supports_backend,
-    _supports_stats,
     resolve_mapper,
 )
 from .netmodel import NetworkModel
-from .seleng import TIMEOF_BACKENDS, SelectionStats
+from .seleng import SelectionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.core import Observability
@@ -109,18 +105,9 @@ class HMPIRuntimeState:
     SELECTION_CACHE_SIZE = 64
 
     def __init__(self, netmodel: NetworkModel, mapper: "Mapper | str | None" = None,
-                 obs: "Observability | None" = None,
-                 timeof_backend: str | None = None):
+                 obs: "Observability | None" = None):
         self.netmodel = netmodel
         self.mapper = resolve_mapper(mapper, default=None) or DefaultMapper()
-        # Timeof pricing backend (seleng.TIMEOF_BACKENDS), validated
-        # eagerly so a typo fails at construction, not first selection.
-        # Constant for the state's lifetime, so it needs no slot in the
-        # selection-cache key.
-        self.timeof_backend = check_choice(
-            "timeof backend", timeof_backend or "trace", TIMEOF_BACKENDS,
-            OptionError,
-        )
         # Observability bundle (metrics/spans/accuracy); None = off, and
         # every instrumented path then costs a single attribute check.
         self.obs = obs
@@ -226,13 +213,8 @@ class HMPIRuntimeState:
             evals_before = stats.evaluations
             if info is not None:
                 info["cache"] = "miss"
-        kwargs: dict[str, Any] = {}
-        if _supports_stats(use_mapper):
-            kwargs["stats"] = stats
-        if self.timeof_backend != "trace" and _supports_backend(use_mapper):
-            kwargs["backend"] = self.timeof_backend
         mapping = use_mapper.select(
-            model, netmodel, list(candidates), fixed, **kwargs
+            model, netmodel, list(candidates), fixed, stats=stats
         )
         with self.lock:
             if info is not None:
@@ -985,7 +967,6 @@ def run_hmpi(
     ft: "FTConfig | dict | None" = None,
     obs: "Observability | None" = None,
     engine: str | None = None,
-    timeof_backend: str | None = None,
 ) -> MPIRunResult:
     """Run ``app(hmpi, *args, **kwargs)`` SPMD with the HMPI runtime.
 
@@ -1002,13 +983,7 @@ def run_hmpi(
     (fault-tolerance knobs; an :class:`FTConfig` or a dict of its fields)
     are forwarded to the engine (see :class:`repro.mpi.tracing.Tracer`,
     :class:`repro.mpi.engine.FTConfig`), as is ``engine`` — the
-    scheduling backend, ``"events"`` or ``"threads"``.
-    ``timeof_backend`` picks the candidate-pricing backend used by
-    ``timeof``/``group_create`` — one of
-    :data:`repro.core.seleng.TIMEOF_BACKENDS` (``"trace"`` replays the
-    compiled trace, ``"net"`` runs longest-path over the unrolled
-    communication net's timing DAG, ``"interp"`` re-interprets the
-    scheme per candidate); predictions are identical across backends.  ``obs`` turns on
+    scheduling backend, ``"events"`` or ``"threads"``.  ``obs`` turns on
     the unified observability layer (:class:`repro.obs.Observability`):
     runtime spans, metrics, and prediction-accuracy tracking record into
     it, and its tracer (when it has one) collects the engine events
@@ -1022,8 +997,7 @@ def run_hmpi(
         else:
             obs.tracer = tracer  # adopt, so exports see the engine events
     netmodel = NetworkModel(cluster, placement, initial_speeds)
-    state = HMPIRuntimeState(netmodel, mapper, obs=obs,
-                             timeof_backend=timeof_backend)
+    state = HMPIRuntimeState(netmodel, mapper, obs=obs)
 
     def wrapped(env: MPIEnv, *a: Any, **kw: Any) -> Any:
         return app(HMPI(env, state), *a, **kw)

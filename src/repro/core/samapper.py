@@ -23,7 +23,6 @@ from .mapper import (
     Mapper,
     Mapping,
     _check_inputs,
-    _seed_select,
     register_mapper,
 )
 from .netmodel import NetworkModel
@@ -76,8 +75,8 @@ class AnnealingMapper(Mapper):
         pinned = set(fixed)
         movable = [i for i in range(n) if i not in pinned]
 
-        current = _seed_select(
-            self.seed_mapper, model, netmodel, candidates, fixed, stats
+        current = self.seed_mapper.select(
+            model, netmodel, candidates, fixed, stats=stats
         )
         best = current
         evaluator = TraceEvaluator(model, netmodel, stats)

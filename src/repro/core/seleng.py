@@ -59,17 +59,16 @@ __all__ = [
     "compile_timing_dag",
     "make_evaluator",
     "TIMEOF_BACKENDS",
-    "evaluate_mapping",
     "evaluate_mappings",
-    "EvaluatorPool",
 ]
 
-#: Candidate-evaluation backends selectable at runtime entry points via
-#: ``timeof_backend=``: ``"trace"`` (default) replays the compiled event
-#: arrays, ``"net"`` runs longest-path over the precomputed timing DAG of
-#: the unrolled communication net, ``"interp"`` re-interprets the scheme
-#: through :class:`repro.core.estimator.TimelineVisitor` per candidate
-#: (the semantic oracle — slow, for differential checks).
+#: Evaluator kinds :func:`make_evaluator` builds.  ``"trace"`` replays the
+#: compiled event arrays and is the one production pricing path; ``"net"``
+#: (longest path over the precomputed timing DAG of the unrolled
+#: communication net) and ``"interp"`` (scheme re-interpretation through
+#: :class:`repro.core.estimator.TimelineVisitor` per candidate) are
+#: reference evaluators for differential tests, benchmark probes and
+#: schedule export — no runtime entry point selects them.
 TIMEOF_BACKENDS = ("trace", "net", "interp")
 
 #: Batches at least this large take the numpy-vectorised replay path;
@@ -508,21 +507,20 @@ def compile_timing_dag(model: AbstractBoundModel, ct: CompiledTrace) -> TimingDa
 class NetEvaluator(TraceEvaluator):
     """Longest-path candidate pricing over the precomputed timing DAG.
 
-    The ``"net"`` Timeof backend: instead of replaying resource clocks,
-    each event's time is computed directly from its DAG predecessors in
-    one topological pass, and the makespan is the longest path (every
-    clock is monotone, so the maximum over all event values equals the
-    maximum over the final clocks).  The arithmetic reproduces
+    A *reference* evaluator (kind ``"net"``): instead of replaying
+    resource clocks, each event's times are computed directly from its
+    DAG predecessors in one topological pass (:meth:`event_times`), and
+    the makespan is the longest path (every clock is monotone, so the
+    maximum over all event values equals the maximum over the final
+    clocks).  The arithmetic reproduces
     :meth:`TraceEvaluator._replay_scalar` operation-for-operation, so
-    predictions are **bitwise identical** to the trace backend and the
-    :class:`~repro.core.estimator.TimelineVisitor` oracle; what changes
-    is the shape of the per-candidate work — a single pre-resolved
-    dependency sweep, with the DAG construction amortised across every
-    candidate and selection for the (model, shape).
+    predictions are **bitwise identical** to the production trace replay
+    and the :class:`~repro.core.estimator.TimelineVisitor` oracle.  The
+    property suite pins the two together, and
+    :func:`repro.obs.netexport.schedule_net` renders the same per-event
+    times as a predicted schedule.
 
-    Batches always take the scalar DAG pass (no vectorised fallback):
-    the point of the backend is that per-candidate evaluation *is* the
-    precomputed structure.
+    Batches always take the scalar DAG pass (no vectorised fallback).
     """
 
     def __init__(
@@ -534,47 +532,56 @@ class NetEvaluator(TraceEvaluator):
         super().__init__(model, netmodel, stats)
         self._dag = compile_timing_dag(model, self.trace)
 
-    def _evaluate_one(self, machines: Sequence[int]) -> float:
-        return self._longest_path(*self._fill_costs(machines))
+    def event_times(
+        self, machines: Sequence[int]
+    ) -> tuple[list[float], list[float], list[float], list[float]]:
+        """Firing times of every compiled event on one candidate mapping.
 
-    def _longest_path(self, dur: list[float], lat: list[float]) -> float:
-        ct = self.trace
+        Returns four lists indexed like the compiled trace's events:
+        ``depart`` (the acting processor's CPU clock when the event is
+        issued), ``start`` (link start of a transfer / start of a
+        compute, after waiting for the pair's previous transfer or the
+        processor's data), ``end`` (arrival / finish) and ``release``
+        (the CPU clock the event leaves behind: a transfer's sender-side
+        completion, a compute's finish).
+        """
+        dur, lat = self._fill_costs(machines)
         dag = self._dag
         cpu_pred, busy_pred, ready_preds = (
             dag.cpu_pred, dag.busy_pred, dag.ready_preds,
         )
         single_port = self.single_port
-        val = [0.0] * ct.nevents   # arrival (transfer) / finish (compute)
-        out = [0.0] * ct.nevents   # cpu-clock value the event leaves behind
-        best = 0.0
-        for i, (is_transfer, a, b, k) in enumerate(ct.ops):
+        nevents = self.trace.nevents
+        departs = [0.0] * nevents
+        starts = [0.0] * nevents
+        end = [0.0] * nevents
+        release = [0.0] * nevents
+        for i, (is_transfer, _a, _b, _k) in enumerate(self.trace.ops):
             cp = cpu_pred[i]
-            depart = out[cp] if cp >= 0 else 0.0
+            depart = release[cp] if cp >= 0 else 0.0
+            departs[i] = depart
             if is_transfer:
                 bp = busy_pred[i]
-                start = val[bp] if bp >= 0 else 0.0
+                start = end[bp] if bp >= 0 else 0.0
                 if depart > start:
                     start = depart
                 arrival = start + dur[i]
-                val[i] = arrival
-                o = arrival if single_port else depart + lat[i]
-                out[i] = o
-                if arrival > best:
-                    best = arrival
-                if o > best:
-                    best = o
+                end[i] = arrival
+                release[i] = arrival if single_port else depart + lat[i]
             else:
                 r = 0.0
                 for p in ready_preds[i]:
-                    v = val[p]
+                    v = end[p]
                     if v > r:
                         r = v
-                finish = (depart if depart >= r else r) + dur[i]
-                val[i] = finish
-                out[i] = finish
-                if finish > best:
-                    best = finish
-        return best
+                start = depart if depart >= r else r
+                end[i] = release[i] = start + dur[i]
+            starts[i] = start
+        return departs, starts, end, release
+
+    def _evaluate_one(self, machines: Sequence[int]) -> float:
+        _, _, end, release = self.event_times(machines)
+        return max(max(end, default=0.0), max(release, default=0.0))
 
     def evaluate_batch(self, mappings: Sequence[Sequence[int]]) -> np.ndarray:
         nmappings = len(mappings)
@@ -587,14 +594,14 @@ class NetEvaluator(TraceEvaluator):
 
 
 class InterpEvaluator:
-    """Per-candidate scheme re-interpretation (the ``"interp"`` backend).
+    """Per-candidate scheme re-interpretation (reference kind ``"interp"``).
 
     Walks the model's scheme through the
     :class:`~repro.core.estimator.TimelineVisitor` oracle for every
     candidate — no compiled trace, no shared link-cost table.  This is
-    the honest pre-engine cost model: differential tests pin the other
-    backends to it, and the timeof-net benchmark measures the compiled
-    backends' speedup against it.
+    the honest pre-engine cost model: differential tests pin the compiled
+    evaluators to it, and the benchmark probes measure their speedup
+    against it.
     """
 
     def __init__(
@@ -641,32 +648,24 @@ def make_evaluator(
     model: AbstractBoundModel,
     netmodel: NetworkModel,
     stats: SelectionStats | None = None,
-    backend: str | None = None,
+    kind: str | None = None,
 ) -> TraceEvaluator | InterpEvaluator:
-    """Construct the candidate evaluator for a Timeof backend name.
+    """Construct a candidate evaluator by kind (:data:`TIMEOF_BACKENDS`).
 
-    ``None`` means the default ``"trace"`` backend; unknown names raise
-    :class:`~repro.util.errors.OptionError` (uniform with every other
-    registry-string option).
+    ``None`` means ``"trace"``, the production evaluator every mapper
+    builds directly; ``"net"`` and ``"interp"`` are the reference
+    evaluators differential tests and benchmark probes compare it with.
+    Unknown names raise :class:`~repro.util.errors.OptionError` (uniform
+    with every other registry-string option).
     """
-    backend = check_choice(
-        "timeof backend", backend or "trace", TIMEOF_BACKENDS, OptionError
+    kind = check_choice(
+        "evaluator kind", kind or "trace", TIMEOF_BACKENDS, OptionError
     )
-    if backend == "net":
+    if kind == "net":
         return NetEvaluator(model, netmodel, stats)
-    if backend == "interp":
+    if kind == "interp":
         return InterpEvaluator(model, netmodel, stats)
     return TraceEvaluator(model, netmodel, stats)
-
-
-def evaluate_mapping(
-    model: AbstractBoundModel,
-    netmodel: NetworkModel,
-    machines: Sequence[int],
-    stats: SelectionStats | None = None,
-) -> float:
-    """Predicted makespan of one candidate mapping (one-shot evaluator)."""
-    return TraceEvaluator(model, netmodel, stats).evaluate(machines)
 
 
 def evaluate_mappings(
@@ -674,79 +673,13 @@ def evaluate_mappings(
     netmodel: NetworkModel,
     candidate_mappings: Sequence[Sequence[int]],
     stats: SelectionStats | None = None,
-    backend: str | None = None,
-    pool: "EvaluatorPool | None" = None,
 ) -> np.ndarray:
     """Predicted makespans of many candidate mappings (batch entry point).
 
     ``candidate_mappings[j][i]`` is the machine index abstract processor
     ``i`` runs on under candidate ``j``.  Returns one predicted time per
-    candidate, in order.  ``backend`` selects the Timeof backend
-    (default compiled trace); ``pool`` reuses a shared evaluator (and
-    its compiled link tables) instead of building one per call — the
-    serve layer batches coalesced Timeof requests through here.
+    candidate, in order.
     """
-    if pool is not None:
-        evaluator = pool.get(model, netmodel, stats=stats, backend=backend)
-    else:
-        evaluator = make_evaluator(model, netmodel, stats, backend)
-    return evaluator.evaluate_batch(candidate_mappings)
-
-
-class EvaluatorPool:
-    """Cross-call evaluator cache — the engine's cache-sharing hook.
-
-    Evaluator construction re-derives per-(model, cluster) state that is
-    invariant across calls: the compiled event trace and the
-    machine-pair link-cost tables.  A long-lived embedder (the job
-    server prices many requests against few distinct worlds) keeps one
-    pool and calls :meth:`get` instead of :func:`make_evaluator`; the
-    returned evaluator is shared by ``(model, netmodel, backend)``
-    identity and stays correct across speed updates because evaluators
-    read machine speeds live from the network model at evaluation time.
-
-    ``stats`` is rebound on every :meth:`get`, so each caller's counters
-    receive that caller's evaluations even on a shared instance.  Not
-    thread-safe for concurrent *evaluation* of one entry — the serve
-    workers each own a pool, which is the intended deployment.
-    """
-
-    def __init__(self, capacity: int = 128):
-        if capacity < 1:
-            raise OptionError("EvaluatorPool capacity must be >= 1")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries: dict[tuple, TraceEvaluator | InterpEvaluator] = {}
-        self._order: list[tuple] = []
-
-    def get(
-        self,
-        model: AbstractBoundModel,
-        netmodel: NetworkModel,
-        stats: SelectionStats | None = None,
-        backend: str | None = None,
-    ) -> TraceEvaluator | InterpEvaluator:
-        backend = check_choice(
-            "timeof backend", backend or "trace", TIMEOF_BACKENDS, OptionError
-        )
-        key = (id(model), id(netmodel), backend)
-        evaluator = self._entries.get(key)
-        if evaluator is None:
-            self.misses += 1
-            evaluator = make_evaluator(model, netmodel, stats, backend)
-            self._entries[key] = evaluator
-            self._order.append(key)
-            while len(self._order) > self.capacity:
-                evicted = self._order.pop(0)
-                self._entries.pop(evicted, None)
-        else:
-            self.hits += 1
-            self._order.remove(key)
-            self._order.append(key)
-            evaluator.stats = stats
-        return evaluator
-
-    def stats_dict(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "size": len(self._entries)}
+    return TraceEvaluator(model, netmodel, stats).evaluate_batch(
+        candidate_mappings
+    )

@@ -48,11 +48,9 @@ from .core.api import (  # noqa: F401  (re-exported: flat C-style API)
     HMPI_Wtime,
 )
 from .core.runtime import HMPI, run_hmpi
-from .core.seleng import TIMEOF_BACKENDS
 from .mpi.launcher import MPIRunResult
 from .mpi.scheduler import resolve_engine, resolve_ft
 from .util.errors import OptionError
-from .util.options import check_choice
 
 __all__ = [
     "HMPISession",
@@ -84,7 +82,7 @@ __all__ = [
 #: accept the same names (the uniform-option contract).
 _SESSION_OPTIONS = (
     "placement", "nprocs", "mapper", "initial_speeds", "timeout",
-    "tracer", "ft", "obs", "engine", "timeof_backend",
+    "tracer", "ft", "obs", "engine",
 )
 
 
@@ -112,11 +110,6 @@ class HMPISession:
             options["engine"] = resolve_engine(options["engine"])
         if "ft" in options:
             options["ft"] = resolve_ft(options["ft"])
-        if options.get("timeof_backend") is not None:
-            options["timeof_backend"] = check_choice(
-                "timeof backend", options["timeof_backend"],
-                TIMEOF_BACKENDS, OptionError,
-            )
         self.options = options
         self.results: list[MPIRunResult] = []
         self._closed = False

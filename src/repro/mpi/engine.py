@@ -197,8 +197,8 @@ class Engine:
         Several ranks may share a machine; they then share its speed.
     engine:
         scheduling backend name (``"events"`` or ``"threads"``); None
-        resolves through :func:`repro.mpi.scheduler.resolve_engine`
-        (``REPRO_ENGINE`` environment override, then the default).
+        resolves through :func:`repro.mpi.scheduler.resolve_engine` to
+        the default.
     """
 
     def __init__(self, cluster: Cluster, placement: Sequence[int],

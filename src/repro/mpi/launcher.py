@@ -181,7 +181,7 @@ def run_mpi(
     engine:
         scheduling backend, ``"events"`` (single-threaded discrete-event
         core, the default) or ``"threads"`` (preemptive thread per rank);
-        None resolves via ``REPRO_ENGINE`` / the library default.
+        None means the library default.
     telemetry:
         optional :class:`repro.obs.EventBus`; the engine streams
         lifecycle events (``engine.run.start``/``run.finish`` with the

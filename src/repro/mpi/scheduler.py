@@ -23,14 +23,13 @@ their condition true.  Two implementations share that contract:
 Backend selection is uniform across entry points: ``engine="threads" |
 "events"`` on :class:`~repro.mpi.engine.Engine`, ``run_mpi``,
 ``run_hmpi``, the session facade and the CLI, resolved by
-:func:`resolve_engine` (``REPRO_ENGINE`` overrides the default, which is
-``events``).  Unknown names raise :class:`~repro.util.errors.OptionError`.
+:func:`resolve_engine` (the default is ``events``).  Unknown names raise
+:class:`~repro.util.errors.OptionError`.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 import time
 from collections.abc import Callable
@@ -57,13 +56,8 @@ __all__ = [
 #: Registered engine backends, in preference order.
 ENGINE_BACKENDS = ("events", "threads")
 
-#: Backend used when no ``engine=`` option (and no environment override)
-#: is given anywhere.
+#: Backend used when no ``engine=`` option is given anywhere.
 DEFAULT_ENGINE = "events"
-
-#: Environment variable overriding :data:`DEFAULT_ENGINE`; lets CI sweep
-#: the whole test corpus differentially without touching call sites.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: Above this rank count the event backend shrinks task-thread stacks so
 #: a 10k+-rank smoke run does not exhaust address space on small hosts.
@@ -74,15 +68,14 @@ _TASK_STACK_BYTES = 512 * 1024
 def resolve_engine(spec: str | None = None, default: str | None = None) -> str:
     """Resolve an ``engine=`` option to a registered backend name.
 
-    ``None`` falls back to ``default``, then to the ``REPRO_ENGINE``
-    environment variable, then to :data:`DEFAULT_ENGINE`.  Unknown names
-    raise :class:`~repro.util.errors.OptionError` — one resolver, one
-    error type, mirroring ``mapper=``/``algorithm=``.
+    ``None`` falls back to ``default``, then to :data:`DEFAULT_ENGINE`.
+    Unknown names raise :class:`~repro.util.errors.OptionError` — one
+    resolver, one error type, mirroring ``mapper=``/``algorithm=``.
     """
     if spec is None:
         spec = default
     if spec is None:
-        spec = os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
+        spec = DEFAULT_ENGINE
     if not isinstance(spec, str):
         raise OptionError(
             f"engine must be a backend name string "

@@ -18,9 +18,9 @@ Event mapping (one lane per **abstract processor**, not world rank):
   ``"recv"`` on the destination (link start → arrival, the message in
   flight toward it).
 
-The timestamps replay the engine's longest-path arithmetic event for
-event, so the trace's makespan is **bitwise identical** to
-``NetEvaluator.evaluate`` / ``Timeof`` for the same mapping.
+The timestamps are :meth:`NetEvaluator.event_times` — the same sweep
+``NetEvaluator.evaluate`` takes its maximum over — so the trace's makespan
+is **bitwise identical** to it and to ``Timeof`` for the same mapping.
 """
 
 from __future__ import annotations
@@ -54,54 +54,27 @@ def schedule_net(
     """
     if net is None:
         net = lower_model(model)
-    evaluator = NetEvaluator(model, netmodel)
-    ct = evaluator.trace
-    if len(net.kept) != ct.nevents:
+    times = NetEvaluator(model, netmodel).event_times(machines)
+    if len(net.kept) != len(times[0]):
         raise HMPIError(
             f"net/trace mismatch: {len(net.kept)} kept transitions vs "
-            f"{ct.nevents} compiled events"
+            f"{len(times[0])} compiled events"
         )
-    dur, lat = evaluator._fill_costs(machines)
-    dag = evaluator._dag
-    single_port = evaluator.single_port
-
     tracer = Tracer()
-    val = [0.0] * ct.nevents
-    out = [0.0] * ct.nevents
-    for i, (is_transfer, a, b, k) in enumerate(ct.ops):
-        ev = net.kept[i]
-        if ev.is_transfer != is_transfer or ev.a != a:
-            raise HMPIError(f"net/trace mismatch at event {i}")
-        cp = dag.cpu_pred[i]
-        depart = out[cp] if cp >= 0 else 0.0
-        if is_transfer:
-            bp = dag.busy_pred[i]
-            start = val[bp] if bp >= 0 else 0.0
-            if depart > start:
-                start = depart
-            arrival = start + dur[i]
-            val[i] = arrival
-            out[i] = arrival if single_port else depart + lat[i]
+    for ev, depart, start, end, release in zip(net.kept, *times):
+        if ev.is_transfer:
             nbytes = int(ev.volume)
             tracer.record(TraceEvent(
-                rank=a, kind="send", t0=depart, t1=out[i], peer=b,
+                rank=ev.a, kind="send", t0=depart, t1=release, peer=ev.b,
                 nbytes=nbytes, volume=ev.volume, label=ev.label(),
             ))
             tracer.record(TraceEvent(
-                rank=b, kind="recv", t0=start, t1=arrival, peer=a,
+                rank=ev.b, kind="recv", t0=start, t1=end, peer=ev.a,
                 nbytes=nbytes, volume=ev.volume, label=ev.label(),
             ))
         else:
-            r = 0.0
-            for p in dag.ready_preds[i]:
-                if val[p] > r:
-                    r = val[p]
-            start = depart if depart >= r else r
-            finish = start + dur[i]
-            val[i] = finish
-            out[i] = finish
             tracer.record(TraceEvent(
-                rank=a, kind="compute", t0=start, t1=finish,
+                rank=ev.a, kind="compute", t0=start, t1=end,
                 volume=ev.volume, label=ev.label(),
             ))
     return tracer

@@ -11,9 +11,8 @@ State an executor accumulates is pure cache, keyed by digests:
 
 - compiled models via :func:`repro.perfmodel.compile_source_cached`
   (compile-by-digest memoisation);
-- one :class:`WorldContext` per cluster digest — the ``NetworkModel``,
-  a speed-epoch-keyed selection cache shared across tenants, and the
-  engine's :class:`~repro.core.seleng.EvaluatorPool`;
+- one :class:`WorldContext` per cluster digest — the ``NetworkModel``
+  and a speed-epoch-keyed selection cache shared across tenants;
 - lowered communication nets per model digest (trace export).
 
 Selection replicates :meth:`repro.core.runtime.HMPIRuntimeState.select`
@@ -30,10 +29,10 @@ import re
 from collections import OrderedDict
 from typing import Any
 
-from ..core.mapper import _supports_backend, _supports_stats, resolve_mapper
+from ..core.mapper import resolve_mapper
 from ..core.netmodel import NetworkModel
 from ..core.runtime import HOST_RANK
-from ..core.seleng import EvaluatorPool, SelectionStats, evaluate_mappings
+from ..core.seleng import SelectionStats
 from ..util.errors import OptionError, PMDLError, ReproError
 from .protocol import PROTOCOL_VERSION, BadRequest, JobRequest
 
@@ -83,7 +82,6 @@ class WorldContext:
         self.digest = digest
         self.cluster = cluster
         self.netmodel = NetworkModel(cluster, list(range(cluster.size)))
-        self.pool = EvaluatorPool()
         self.cache: OrderedDict[tuple, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -119,16 +117,10 @@ class WorldContext:
         self.misses += 1
         stats.cache_misses += 1
         mapper = resolve_mapper(req.mapper)
-        kwargs: dict[str, Any] = {}
-        if _supports_stats(mapper):
-            kwargs["stats"] = stats
-        backend = req.timeof_backend
-        if backend is not None and backend != "trace" and _supports_backend(mapper):
-            kwargs["backend"] = backend
         candidates = list(range(self.netmodel.nprocs))
         fixed = {model.parent_index(): HOST_RANK}
         mapping = mapper.select(model, self.netmodel, candidates, fixed,
-                                **kwargs)
+                                stats=stats)
         self.cache[key] = mapping
         while len(self.cache) > self.CACHE_SIZE:
             self.cache.popitem(last=False)
@@ -328,19 +320,12 @@ class Executor:
             self._nets[req.model_digest] = net
             while len(self._nets) > 64:
                 self._nets.pop(next(iter(self._nets)))
-        # Reprice the chosen mapping through the shared evaluator pool —
-        # the engine's batch entry point — so the exported metadata
-        # carries the backend's own makespan for the exact machines.
-        times = evaluate_mappings(
-            model, ctx.netmodel, [list(mapping.machines)],
-            backend=req.timeof_backend, pool=ctx.pool,
-        )
         return net_chrome_trace(
             model, ctx.netmodel, list(mapping.machines), net=net,
             metadata={
                 "model_digest": req.model_digest,
                 "cluster_digest": req.world_digest,
-                "predicted_time": float(times[0]),
+                "predicted_time": mapping.time,
             },
         )
 
@@ -357,8 +342,4 @@ class Executor:
                 "misses": sum(w.misses for w in self.worlds.values()),
             },
             "compile_cache": compile_cache_stats(),
-            "evaluator_pools": {
-                "hits": sum(w.pool.hits for w in self.worlds.values()),
-                "misses": sum(w.pool.misses for w in self.worlds.values()),
-            },
         }

@@ -8,9 +8,8 @@ the operation:
     positional list), ``cluster`` (preset name, campaign cluster spec
     dict, or a full :func:`repro.cluster.serialize.cluster_to_dict`
     document).  Optional: ``algorithm`` (when the source defines several),
-    ``mapper`` (registry string), ``timeof_backend``, ``iterations``
-    (timeof only), ``speeds`` (per-machine estimates installed before
-    selection).
+    ``mapper`` (registry string), ``iterations`` (timeof only),
+    ``speeds`` (per-machine estimates installed before selection).
 ``check``
     ``model``; optional ``net`` (run PM08x structural checks) and
     ``strict`` (warnings affect the reported exit code).
@@ -36,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.mapper import available_mappers
-from ..core.seleng import TIMEOF_BACKENDS
 from ..util.errors import ReproError
 
 __all__ = [
@@ -64,8 +62,8 @@ SELECTION_OPS = ("timeof", "group_create")
 
 _REQUEST_KEYS = frozenset({
     "op", "model", "algorithm", "params", "cluster", "mapper",
-    "timeof_backend", "iterations", "speeds", "tenant", "wait",
-    "timeout", "net", "strict", "campaign", "cell",
+    "iterations", "speeds", "tenant", "wait", "timeout", "net", "strict",
+    "campaign", "cell",
 })
 
 DEFAULT_TENANT = "anonymous"
@@ -127,7 +125,6 @@ class JobRequest:
     params: Any = None
     cluster: Any = None
     mapper: str = "default"
-    timeof_backend: str | None = None
     iterations: float = 1.0
     speeds: list[float] | None = None
     wait: float | None = None
@@ -147,7 +144,6 @@ class JobRequest:
             "op": self.op, "tenant": self.tenant, "model": self.model,
             "algorithm": self.algorithm, "params": self.params,
             "cluster": self.cluster, "mapper": self.mapper,
-            "timeof_backend": self.timeof_backend,
             "iterations": self.iterations, "speeds": self.speeds,
             "net": self.net, "strict": self.strict,
             "campaign": self.campaign, "cell": self.cell,
@@ -171,9 +167,9 @@ def _check_number(raw: dict, key: str, *, minimum: float = 0.0):
 def validate_request(raw: Any) -> JobRequest:
     """Validate a decoded JSON job request; raises :class:`BadRequest`.
 
-    Validation is eager and total: every registry string (op, mapper,
-    Timeof backend) is checked here, in the accept loop, so a typo fails
-    with a 400 before a worker process ever sees the job.
+    Validation is eager and total: every registry string (op, mapper) is
+    checked here, in the accept loop, so a typo fails with a 400 before a
+    worker process ever sees the job.
     """
     from ..perfmodel import source_digest
 
@@ -254,18 +250,10 @@ def validate_request(raw: Any) -> JobRequest:
     mapper = raw.get("mapper", "default")
     if not isinstance(mapper, str):
         raise _bad(f"'mapper' must be a registry string, got {mapper!r}")
-    known = set(available_mappers()) | {"anneal"}
-    if mapper.lower() not in known:
+    if mapper.lower() not in available_mappers():
         raise _bad(f"unknown mapper {mapper!r}; "
-                   f"available: {', '.join(sorted(known))}")
+                   f"available: {', '.join(available_mappers())}")
     req.mapper = mapper.lower()
-
-    backend = raw.get("timeof_backend")
-    if backend is not None:
-        if backend not in TIMEOF_BACKENDS:
-            raise _bad(f"unknown timeof backend {backend!r}; "
-                       f"expected one of {', '.join(TIMEOF_BACKENDS)}")
-        req.timeof_backend = backend
 
     iterations = _check_number(raw, "iterations")
     req.iterations = 1.0 if iterations is None else iterations
@@ -285,7 +273,6 @@ def validate_request(raw: Any) -> JobRequest:
         "algorithm": req.algorithm,
         "params": req.params,
         "mapper": req.mapper,
-        "timeof_backend": req.timeof_backend,
         "speeds": req.speeds,
     })
     req.batch_key = ("select", req.model_digest, req.world_digest,

@@ -51,6 +51,9 @@ class TestValidation:
         lambda r: r.update(axes={"no_such_param": [1]}),
         lambda r: r.update(fixed={"no_such_param": 1}),
         lambda r: r.update(fixed="nope"),
+        # the retired pricing-backend knob is rejected, not ignored
+        lambda r: r.update(app="iterative",
+                           axes={"timeof_backend": ["net"]}),
     ])
     def test_malformed_configs_raise(self, mutate):
         raw = make()
@@ -124,8 +127,8 @@ class TestSeeds:
                    for x, y in zip(a.expand(), b.expand()))
 
     def test_execution_axes_excluded_from_seed(self):
-        # engine / timeof_backend choose how to simulate, not what
-        # happens: cells differing only there share the scenario seed.
+        # engine chooses how to simulate, not what happens: cells
+        # differing only there share the scenario seed.
         assert "engine" in EXECUTION_AXES
         base = {"policy": "never", "n": 24}
         with_engine = dict(base, engine="events")

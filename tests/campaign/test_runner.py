@@ -168,8 +168,8 @@ class TestShippedCampaignFiles:
         assert len(specs) == cfg.n_runs > 1
 
     def test_mapper_ablation_matches_the_bench_bitwise(self):
-        # The campaign port of benchmarks/bench_ablation_mapper.py must
-        # reproduce its predicted times exactly.
+        # The campaign must reproduce the public API's predicted times
+        # exactly.
         cfg = load_config(CAMPAIGNS / "mapper_ablation.json")
         w = run_campaign(cfg)
         by = {r["cell"]["mapper"]: r["metrics"]["predicted_time"]
@@ -247,7 +247,7 @@ class TestEm3dReconDriver:
 
 
 class TestGroupsizeAmdahlDriver:
-    """The campaign port of benchmarks/bench_ablation_groupsize.py."""
+    """Automatic group sizing through the campaign harness."""
 
     def test_serial_fraction_shrinks_the_tuned_group(self):
         w = run({

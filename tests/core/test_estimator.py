@@ -8,7 +8,6 @@ from repro.core.estimator import (
     estimate_breakdown,
     estimate_time,
     record_trace,
-    replay_trace,
 )
 from repro.core.netmodel import NetworkModel
 from repro.perfmodel.builder import CallableModel, MatrixModel
@@ -122,11 +121,9 @@ class TestTraceReplay:
         np.fill_diagonal(links, 0)
         model = MatrixModel(node, links)
         machines = [0, 6, 7, 8, 3]
+        # compiled-trace replay vs the TimelineVisitor scheme walk
         t = estimate_time(model, nm, machines)
-        t2 = replay_trace(record_trace(model), model.node_volumes(),
-                          model.link_volumes(),
-                          [nm.speed_of_machine(m) for m in machines],
-                          nm, machines)
+        t2 = estimate_breakdown(model, nm, machines)["makespan"]
         assert t == pytest.approx(t2)
 
     def test_different_mappings_reuse_trace(self):

@@ -7,7 +7,8 @@ from repro.cluster import StepLoad, paper_network, uniform_network
 from repro.core.mapper import ExhaustiveMapper
 from repro.core.runtime import run_hmpi
 from repro.perfmodel.builder import MatrixModel
-from repro.util.errors import HMPIStateError
+from repro.hmpi import session
+from repro.util.errors import HMPIStateError, OptionError
 
 
 def simple_model(volumes=(100.0, 50.0), comm=0.0):
@@ -203,6 +204,12 @@ class TestInitialSpeeds:
 
         res = run_hmpi(app, small_cluster, initial_speeds=[1.0, 2.0, 3.0, 4.0])
         assert res.results[0] == [1.0, 2.0, 3.0, 4.0]
+
+
+class TestSessionOptions:
+    def test_retired_timeof_backend_is_rejected_not_ignored(self, small_cluster):
+        with pytest.raises(OptionError, match="unknown session option"):
+            session(small_cluster, timeof_backend="net")
 
 
 class TestDeadMarking:

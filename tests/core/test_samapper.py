@@ -64,3 +64,9 @@ class TestQuality:
             model, nm, list(range(9)), fixed={0: 3, 1: 5}
         )
         assert sa.processes == (3, 5)
+
+
+def test_registered_on_package_import():
+    from repro.core import available_mappers
+
+    assert "anneal" in available_mappers()

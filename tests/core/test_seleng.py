@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cluster import homogeneous_network, paper_network
+from repro.core.estimator import estimate_time
 from repro.core.mapper import ExhaustiveMapper, GreedyMapper
 from repro.core.netmodel import NetworkModel
 from repro.core.runtime import HMPIRuntimeState, run_hmpi
 from repro.core.seleng import (
     SelectionStats,
     compile_trace,
-    evaluate_mapping,
     evaluate_mappings,
 )
 from repro.perfmodel.builder import MatrixModel
@@ -97,7 +97,7 @@ class TestSelectionCache:
         assert state.selection_stats.cache_misses == 2
         assert after.time != pytest.approx(before.time)
         assert after.time == pytest.approx(
-            evaluate_mapping(model, state.netmodel, after.machines)
+            estimate_time(model, state.netmodel, after.machines)
         )
 
     def test_explicit_invalidation(self):
@@ -213,7 +213,7 @@ class TestBatchConsistency:
             for _ in range(BATCH_VECTOR_THRESHOLD + 3)
         ]
         singles = np.asarray(
-            [evaluate_mapping(model, netmodel, m) for m in mappings]
+            [estimate_time(model, netmodel, m) for m in mappings]
         )
         small = evaluate_mappings(model, netmodel, mappings[:4])
         large = evaluate_mappings(model, netmodel, mappings)

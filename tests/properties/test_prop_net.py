@@ -1,13 +1,11 @@
-"""Differential properties of the Timeof backends.
+"""Differential properties of the reference evaluators.
 
-The ``"net"`` backend (longest-path over the precomputed timing DAG)
-must be **bitwise identical** to the default compiled-trace backend, and
-both must match the ``"interp"`` backend (per-candidate scheme
+The ``"net"`` evaluator (longest-path over the precomputed timing DAG)
+must be **bitwise identical** to the production compiled-trace replay,
+and both must match the ``"interp"`` evaluator (per-candidate scheme
 re-interpretation) and the TimelineVisitor oracle to relative 1e-9 —
 across random models, random clusters, single- and multi-port, scalar
-and batched evaluation.  A separate test pins the runtime contract from
-the issue: selecting with ``timeof_backend="net"`` hits the *same*
-selection-cache keys as the default backend.
+and batched evaluation.
 """
 
 import numpy as np
@@ -15,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.netmodel import NetworkModel
-from repro.core.runtime import HMPIRuntimeState
 from repro.core.seleng import (
     InterpEvaluator,
     NetEvaluator,
@@ -107,41 +104,3 @@ class TestMakeEvaluator:
         assert type(make_evaluator(model, netmodel, None, "interp")) is InterpEvaluator
         with np.testing.assert_raises(OptionError):
             make_evaluator(model, netmodel, None, "bogus")
-
-
-class TestRuntimeCacheContract:
-    def _state_and_model(self, backend):
-        rng = np.random.default_rng(7)
-        cluster = random_cluster(rng, 0, True)
-        netmodel = NetworkModel(cluster, list(range(cluster.size)))
-        model = random_model(rng, 3)
-        state = HMPIRuntimeState(netmodel, timeof_backend=backend)
-        return state, model
-
-    def test_net_backend_hits_same_cache_keys(self):
-        """The backend is state-constant, so it must not change cache keys:
-        selections made under ``"net"`` produce keys identical to the
-        default backend's, and repeats hit the cache."""
-        state_net, model = self._state_and_model("net")
-        state_trace, _ = self._state_and_model("trace")
-
-        m1 = state_net.select(model)
-        assert state_net.selection_stats.cache_misses == 1
-        m2 = state_net.select(model)  # same key -> hit
-        assert state_net.selection_stats.cache_hits == 1
-        assert m1 is m2
-
-        # Key equality across backends: same (model-id-shape) tuple parts.
-        key_net = next(iter(state_net._selection_cache))
-        m3 = state_trace.select(model)
-        key_trace = next(iter(state_trace._selection_cache))
-        assert key_net[2:] == key_trace[2:]  # epoch, candidates, pins
-        assert m1.processes == m3.processes
-        assert m1.time == m3.time  # bitwise-identical pricing
-
-    def test_backend_validated_eagerly(self):
-        rng = np.random.default_rng(7)
-        cluster = random_cluster(rng, 0, True)
-        netmodel = NetworkModel(cluster, list(range(cluster.size)))
-        with np.testing.assert_raises(OptionError):
-            HMPIRuntimeState(netmodel, timeof_backend="bogus")

@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from repro.cluster import paper_network, uniform_network
 from repro.cluster.presets import multiprotocol_network
-from repro.core.estimator import TimelineVisitor, _effective_speeds
+from repro.core.estimator import (
+    TimelineVisitor,
+    _effective_speeds,
+    estimate_time,
+)
 from repro.core.netmodel import NetworkModel
 from repro.core.seleng import (
     BATCH_VECTOR_THRESHOLD,
     TraceEvaluator,
-    evaluate_mapping,
     evaluate_mappings,
 )
 from repro.perfmodel.builder import MatrixModel
@@ -141,7 +144,7 @@ class TestEngineMatchesOracle:
         machine = int(rng.integers(cluster.size))
         mapping = tuple([machine] * nproc)
         want = oracle_time(model, netmodel, mapping)
-        assert abs(evaluate_mapping(model, netmodel, mapping) - want) <= TOL
+        assert abs(estimate_time(model, netmodel, mapping) - want) <= TOL
 
     @given(seed=st.integers(0, 2**31 - 1), nproc=st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
@@ -155,6 +158,6 @@ class TestEngineMatchesOracle:
             int(m) for m in rng.integers(0, cluster.size, size=nproc)
         )
         want = oracle_time(model, netmodel, mapping)
-        assert abs(evaluate_mapping(model, netmodel, mapping) - want) <= TOL
+        assert abs(estimate_time(model, netmodel, mapping) - want) <= TOL
         times = evaluate_mappings(model, netmodel, [mapping] * 3)
         assert np.all(np.abs(times - want) <= TOL)

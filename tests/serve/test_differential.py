@@ -3,9 +3,8 @@
 The server executes through :meth:`repro.serve.exec.Executor.execute` —
 the same code path these tests drive directly — and JSON floats
 round-trip through ``repr``, so equality here is exact ``==`` on floats,
-not approx.  The matrix covers both selection ops, both engines, and
-every Timeof backend, plus the check and campaign-cell ops and one
-end-to-end HTTP round trip.
+not approx.  The matrix covers both selection ops under both engines,
+plus the check and campaign-cell ops and one end-to-end HTTP round trip.
 """
 
 import pytest
@@ -22,7 +21,8 @@ EM3D_PARAMS = {
 }
 
 ENGINES = ("events", "threads")
-BACKENDS = ("trace", "net", "interp")
+# Both sides price with the compiled-trace replay; the ids say so.
+ENGINE_IDS = [f"trace-{engine}" for engine in ENGINES]
 
 
 def em3d_request(op, **over):
@@ -36,8 +36,7 @@ def bound_em3d():
     return compile_model(EM3D_MODEL_SOURCE).bind(**EM3D_PARAMS)
 
 
-def direct_timeof(*, mapper="default", engine=None, backend=None,
-                  iterations=1.0):
+def direct_timeof(*, mapper="default", engine=None, iterations=1.0):
     model = bound_em3d()
 
     def app(hmpi):
@@ -45,12 +44,11 @@ def direct_timeof(*, mapper="default", engine=None, backend=None,
             return hmpi.timeof(model, mapper, iterations=iterations)
         return None
 
-    res = run_hmpi(app, paper_network(), engine=engine,
-                   timeof_backend=backend)
+    res = run_hmpi(app, paper_network(), engine=engine)
     return res.results[0]
 
 
-def direct_group_create(*, mapper="default", engine=None, backend=None):
+def direct_group_create(*, mapper="default", engine=None):
     model = bound_em3d()
 
     def app(hmpi):
@@ -69,18 +67,15 @@ def direct_group_create(*, mapper="default", engine=None, backend=None):
             if gid.is_member:
                 hmpi.group_free(gid)
 
-    res = run_hmpi(app, paper_network(), engine=engine,
-                   timeof_backend=backend)
+    res = run_hmpi(app, paper_network(), engine=engine)
     return res.results[0]
 
 
 class TestTimeofBitwise:
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_served_equals_direct(self, engine, backend):
-        served = Executor().execute(
-            em3d_request("timeof", timeof_backend=backend))
-        direct = direct_timeof(engine=engine, backend=backend)
+    @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+    def test_served_equals_direct(self, engine):
+        served = Executor().execute(em3d_request("timeof"))
+        direct = direct_timeof(engine=engine)
         assert served["predicted_time"] == direct  # bitwise
 
     def test_iterations_scale_exactly(self):
@@ -94,13 +89,10 @@ class TestTimeofBitwise:
 
 
 class TestGroupCreateBitwise:
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_served_equals_direct(self, engine, backend):
-        served = Executor().execute(
-            em3d_request("group_create", timeof_backend=backend))
-        processes, machines, time = direct_group_create(
-            engine=engine, backend=backend)
+    @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+    def test_served_equals_direct(self, engine):
+        served = Executor().execute(em3d_request("group_create"))
+        processes, machines, time = direct_group_create(engine=engine)
         assert served["mapping"]["processes"] == processes
         assert served["mapping"]["machines"] == machines
         assert served["mapping"]["time"] == time  # bitwise

@@ -79,8 +79,11 @@ class TestValidation:
             validate_request(ring_request(mapper="magic"))
 
     def test_unknown_backend_rejected_at_validation(self):
-        with pytest.raises(BadRequest, match="timeof backend"):
-            validate_request(ring_request(timeof_backend="oracle"))
+        # The pricing-backend knob is gone, not ignored: even a formerly
+        # valid value is an unknown key.
+        with pytest.raises(BadRequest,
+                           match=r"unknown request key\(s\) timeof_backend"):
+            validate_request(ring_request(timeof_backend="net"))
 
     @pytest.mark.parametrize("speeds", [[], [0.0], [-1.0], [True], "fast"])
     def test_bad_speeds_rejected(self, speeds):
@@ -112,7 +115,7 @@ class TestBatchKeys:
     @pytest.mark.parametrize("over", [
         {"params": {"p": 4, "v": [10, 20, 30, 41]}},
         {"mapper": "greedy"},
-        {"timeof_backend": "net"},
+        {"algorithm": "Ring"},
         {"speeds": [1.0] * 9},
         {"cluster": "multiprotocol"},
     ])
