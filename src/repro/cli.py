@@ -252,21 +252,13 @@ def _parse_bindings(pairs: list[str]) -> dict:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    from .perfmodel import compile_source, lint_model, parse
+    from .perfmodel import compile_source, lint_model, parse, stub_externals
     from .perfmodel.printer import format_unit
     from .util.errors import PMDLError
 
     source = open(args.file).read()
-    # Externals unknown at compile time: declare every called name as a stub
-    # so the semantic checker focuses on structure.
-    import re
-
-    called = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", source))
-    keywords = {"algorithm", "coord", "node", "link", "parent", "scheme",
-                "sizeof", "par", "for", "if", "while", "bench", "length"}
-    externals = {name: (lambda *a: None) for name in called - keywords}
     try:
-        models = compile_source(source, externals=externals)
+        models = compile_source(source, externals=stub_externals(source))
     except PMDLError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -323,8 +315,8 @@ def _net_dots(targets: list[tuple[str, str, dict | None]]) -> str:
     failing probe binding) contribute a comment instead of a graph —
     mirroring the PM084 skip semantics of the checks themselves.
     """
-    from .perfmodel import compile_source, lower_model
-    from .perfmodel.netcheck import probe_bindings
+    from .perfmodel import compile_source
+    from .perfmodel.netcheck import unroll
     from .util.errors import PMDLError
 
     chunks: list[str] = []
@@ -332,9 +324,9 @@ def _net_dots(targets: list[tuple[str, str, dict | None]]) -> str:
         try:
             models = compile_source(source, externals=externals, analyze=False)
             for mname, model in models.items():
-                bound = model.bind(**probe_bindings(model))
+                _, net = unroll(model)
                 chunks.append(f"// {name}: {mname}")
-                chunks.append(lower_model(bound).to_dot(title=mname))
+                chunks.append(net.to_dot(title=mname))
         except PMDLError as exc:
             chunks.append(f"// {name}: net unavailable: {exc}")
     return "\n".join(chunks) + "\n"
@@ -369,8 +361,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
-    from .perfmodel import compile_source, lower_model
-    from .perfmodel.netcheck import check_net, probe_bindings
+    from .perfmodel import compile_source
+    from .perfmodel.netcheck import check_net, unroll
     from .util.errors import PMDLError
 
     args.files = [args.file] if args.file else []
@@ -398,11 +390,10 @@ def _cmd_net(args: argparse.Namespace) -> int:
                 # so `--bind p=6` works without spelling out every value.
                 wanted = ({p: v for p, v in bindings.items()
                            if p in model.param_names} if bindings else None)
-                bound = model.bind(**probe_bindings(model, wanted))
+                bound, net = unroll(model, wanted)
             except PMDLError as exc:
                 print(f"error binding {mname}: {exc}", file=sys.stderr)
                 return 1
-            net = lower_model(bound)
             print(f"{mname}: {net.summary()}")
             for diag in check_net(bound, model.algorithm):
                 print(f"  {diag.render()}")

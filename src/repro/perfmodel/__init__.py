@@ -5,15 +5,17 @@ language" (derived from mpC's network types) and the compiler that turns a
 model description into the set of functions used by the HMPI runtime.
 """
 
-from .analyze import analyze_algorithm, check_source
+from .analyze import analyze_algorithm
 from .builder import CallableModel, MatrixModel
 from .compiler import (
+    check_source,
     clear_compile_cache,
     compile_cache_stats,
     compile_model,
     compile_source,
     compile_source_cached,
     source_digest,
+    stub_externals,
 )
 from .diagnostics import RULES, Diagnostic, DiagnosticReport, Severity
 from .lint import LintReport, lint_model
@@ -57,6 +59,7 @@ __all__ = [
     "source_digest",
     "compile_cache_stats",
     "clear_compile_cache",
+    "stub_externals",
     "parse",
     "parse_expression",
     "tokenize",

@@ -23,9 +23,10 @@ declared ``link`` rules the scheme never exercises (the symbolic
 generalisation of the bound-model linter), and single-port serialization
 hotspots — ``par``-driven fan-in/fan-out the estimator will price.
 
-Entry points: :func:`analyze_algorithm` for a parsed AST,
-:func:`check_source` for raw text (syntax and semantic failures are
-reported as ``PM001``/``PM002`` diagnostics instead of exceptions).
+Entry point: :func:`analyze_algorithm` for a parsed AST.  Raw text goes
+through the front-end driver in :mod:`repro.perfmodel.compiler`, which
+reports syntax and semantic failures under the ``PM001``/``PM002`` codes
+registered here.
 """
 
 from __future__ import annotations
@@ -33,18 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from ..mpi.datatypes import sizeof
-from ..util.errors import PMDLError, PMDLSemanticError, PMDLSyntaxError
 from . import ast
-from .diagnostics import (
-    Diagnostic,
-    DiagnosticReport,
-    Severity,
-    register_rule,
-)
+from .diagnostics import Diagnostic, Severity, register_rule
 from .printer import format_coords as _fmt_coords
 from .printer import format_expression
 
-__all__ = ["analyze_algorithm", "check_source"]
+__all__ = ["analyze_algorithm"]
 
 
 # ----------------------------------------------------------------------
@@ -1174,7 +1169,7 @@ def _regions_disjoint(a: list[Ival], b: list[Ival]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# entry points
+# entry point
 # ----------------------------------------------------------------------
 
 def analyze_algorithm(
@@ -1183,86 +1178,3 @@ def analyze_algorithm(
 ) -> list[Diagnostic]:
     """Run every analyzer rule over one parsed (unbound) algorithm."""
     return _Analyzer(alg, dict(structs or {})).run()
-
-
-def check_source(source: str, target: str = "<source>", *,
-                 net: bool = False,
-                 externals: dict | None = None) -> DiagnosticReport:
-    """Full static check of PMDL source text, never raising for model bugs.
-
-    Parser and semantic failures become ``PM001``/``PM002`` error
-    diagnostics; otherwise every algorithm in the unit is analyzed.  External
-    functions called by schemes are assumed declared (the CLI has no
-    bindings at check time).
-
-    With ``net=True`` each clean algorithm is additionally unrolled into
-    its communication net at an automatic probe binding and the PM08x
-    structural checks run (:mod:`repro.perfmodel.netcheck`); ``externals``
-    supplies real implementations of called functions so schemes using
-    them can unroll (otherwise they skip with PM084).
-    """
-    from .parser import parse
-    from .semantics import check_algorithm
-
-    report = DiagnosticReport(target=target)
-    try:
-        items = parse(source)
-    except PMDLSyntaxError as exc:
-        report.add(PM001.at(exc.line, str(exc)))
-        return report
-    except PMDLError as exc:  # pragma: no cover - defensive
-        report.add(PM001.at(0, str(exc)))
-        return report
-
-    structs: dict[str, ast.StructDef] = {}
-    algorithms: list[ast.Algorithm] = []
-    for item in items:
-        if isinstance(item, ast.StructDef):
-            if item.name in structs:
-                report.add(PM002.at(item, f"duplicate struct definition "
-                                          f"{item.name!r}"))
-            structs[item.name] = item
-        else:
-            algorithms.append(item)
-    if not algorithms:
-        report.add(PM002.at(0, "source defines no algorithm"))
-        return report
-
-    seen: set[str] = set()
-    for alg in algorithms:
-        if alg.name in seen:
-            report.add(PM002.at(alg, f"duplicate algorithm definition "
-                                     f"{alg.name!r}"))
-            continue
-        seen.add(alg.name)
-        called = {node.name for node in ast.walk(alg)
-                  if isinstance(node, ast.Call)}
-        try:
-            check_algorithm(alg, structs, frozenset(called))
-        except PMDLSemanticError as exc:
-            for line, message in _split_semantic_errors(str(exc)):
-                report.add(PM002.at(line, message))
-            continue
-        report.extend(analyze_algorithm(alg, structs))
-        if net:
-            from .netcheck import check_algorithm_net
-            report.extend(check_algorithm_net(alg, structs, externals))
-    report.sort()
-    return report
-
-
-def _split_semantic_errors(text: str) -> list[tuple[int, str]]:
-    """Recover (line, message) pairs from a PMDLSemanticError message."""
-    out: list[tuple[int, str]] = []
-    for raw in text.splitlines():
-        raw = raw.strip()
-        if raw.startswith("line ") and ":" in raw:
-            head, _, rest = raw.partition(":")
-            try:
-                out.append((int(head[5:]), rest.strip()))
-                continue
-            except ValueError:
-                pass
-    if not out:
-        out.append((0, text))
-    return out

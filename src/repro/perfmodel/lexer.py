@@ -10,7 +10,11 @@ from __future__ import annotations
 from ..util.errors import PMDLSyntaxError
 from .tokens import KEYWORDS, PUNCTUATION, Token, TokenKind
 
-__all__ = ["tokenize"]
+__all__ = ["tokenize", "MAX_LITERAL_LENGTH"]
+
+#: Longest numeric literal accepted, in characters — far beyond any C
+#: ``long`` or ``double``, far below where ``int()`` itself refuses.
+MAX_LITERAL_LENGTH = 128
 
 _PUNCT_BY_LENGTH = sorted(PUNCTUATION, key=len, reverse=True)
 
@@ -91,6 +95,9 @@ def tokenize(source: str) -> list[Token]:
                 else:
                     break
             text = source[start:i]
+            if len(text) > MAX_LITERAL_LENGTH:
+                raise error(f"numeric literal longer than "
+                            f"{MAX_LITERAL_LENGTH} characters")
             kind = TokenKind.FLOAT if (seen_dot or seen_exp) else TokenKind.INT
             tokens.append(Token(kind, text, line, col))
             col += i - start

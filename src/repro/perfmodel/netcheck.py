@@ -27,8 +27,10 @@ Rules:
   unroll); nothing was proven either way.
 
 Entry points: :func:`check_net` for an existing bound model,
-:func:`check_model_net` for a compiled :class:`PerformanceModel`, and
-:func:`check_algorithm_net` for ``check_source``'s AST-level pipeline.
+:func:`check_model_net` for a compiled :class:`PerformanceModel`,
+:func:`check_algorithm_net` for the compiler front end's AST-level
+pipeline, and :func:`unroll` — the one probe-bind-and-lower step the
+checks and the ``repro net`` / ``repro check --net-dot`` exports share.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .net import MAX_NET_EVENTS, CommNet, lower_model
 
 __all__ = [
     "probe_bindings",
+    "unroll",
     "check_net",
     "check_model_net",
     "check_algorithm_net",
@@ -99,6 +102,15 @@ def probe_bindings(
         dtype = float if p.type_name == "double" else int
         values[p.name] = np.ones(dims, dtype=dtype)
     return values
+
+
+def unroll(
+    pm: PerformanceModel, overrides: dict[str, Any] | None = None
+) -> tuple[BoundModel, CommNet]:
+    """Bind ``pm`` at its probe values (``overrides`` replacing individual
+    ones) and lower the bound model to its communication net."""
+    bound = pm.bind(**probe_bindings(pm, overrides))
+    return bound, lower_model(bound)
 
 
 def _check_deadlock(net: CommNet) -> list[Diagnostic]:
@@ -183,11 +195,9 @@ def _check_unreachable(net: CommNet, alg: ast.Algorithm | None) -> list[Diagnost
     return out
 
 
-def check_net(
-    bound: AbstractBoundModel, algorithm: ast.Algorithm | None = None
+def _check_lowered(
+    net: CommNet, bound: AbstractBoundModel, algorithm: ast.Algorithm | None
 ) -> list[Diagnostic]:
-    """Run every PM08x structural check on one bound model's net."""
-    net = lower_model(bound)
     if len(net.events) > MAX_NET_EVENTS:
         return [PM084.at(
             0,
@@ -201,14 +211,20 @@ def check_net(
     return out
 
 
+def check_net(
+    bound: AbstractBoundModel, algorithm: ast.Algorithm | None = None
+) -> list[Diagnostic]:
+    """Run every PM08x structural check on one bound model's net."""
+    return _check_lowered(lower_model(bound), bound, algorithm)
+
+
 def check_model_net(
     pm: PerformanceModel, bindings: dict[str, Any] | None = None
 ) -> list[Diagnostic]:
     """Bind (probe values unless given), lower, and check one model."""
     try:
-        values = dict(bindings) if bindings else probe_bindings(pm)
-        bound = pm.bind(**values)
-        return check_net(bound, pm.algorithm)
+        bound, net = unroll(pm, bindings)
+        return _check_lowered(net, bound, pm.algorithm)
     except PMDLError as exc:
         return [PM084.at(
             0, f"net analysis skipped: {exc}",
@@ -222,7 +238,7 @@ def check_algorithm_net(
     structs: dict[str, ast.StructDef],
     externals: dict[str, Callable[..., Any]] | None = None,
 ) -> list[Diagnostic]:
-    """Net checks for ``check_source``: wrap the AST, probe-bind, check.
+    """Net checks for the front end: wrap the AST, probe-bind, check.
 
     Schemes calling external functions with no binding cannot be unrolled
     truthfully (a stub would fabricate coordinates); those skip with
@@ -240,10 +256,3 @@ def check_algorithm_net(
         )]
     pm = PerformanceModel(alg, structs, externals)
     return check_model_net(pm)
-
-
-def _bound_algorithm(bound: AbstractBoundModel) -> ast.Algorithm | None:
-    """The algorithm AST behind a bound model, when there is one."""
-    if isinstance(bound, BoundModel):
-        return bound._pm.algorithm
-    return None

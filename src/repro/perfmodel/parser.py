@@ -18,7 +18,18 @@ from . import ast
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
-__all__ = ["parse", "parse_expression"]
+__all__ = ["parse", "parse_expression", "MAX_NESTING"]
+
+#: Nesting budget of a definition.  Every later pass (semantic check,
+#: analyzer, interpreter, printer) recurses over the AST, so this bound is
+#: what keeps a hostile model inside the Python stack for all of them.  A
+#: nested statement, a unary or right-associative operator and each further
+#: operator of a chain spend one level — one level of AST depth each; a
+#: bracketed sub-expression re-enters the whole precedence ladder (about 20
+#: frames of this parser, against 4 for a statement) and spends
+#: ``_BRACKET_COST``.
+MAX_NESTING = 128
+_BRACKET_COST = 5
 
 _TYPE_KEYWORDS = {"int", "double", "float", "long", "char", "void"}
 
@@ -27,6 +38,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.struct_names: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -49,6 +61,18 @@ class _Parser:
     def error(self, msg: str) -> PMDLSyntaxError:
         t = self.tok
         return PMDLSyntaxError(f"{msg}; found {t.text!r}", t.line, t.column)
+
+    def nest(self, cost: int = 1) -> None:
+        """Spend ``cost`` nesting levels; the caller returns them."""
+        self.depth += cost
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting exceeds {MAX_NESTING} levels")
+
+    def parse_nested(self, sub, cost: int = 1):
+        self.nest(cost)
+        node = sub()
+        self.depth -= cost
+        return node
 
     def expect_punct(self, text: str) -> Token:
         if not self.tok.is_punct(text):
@@ -289,6 +313,9 @@ class _Parser:
     # statements
     # ------------------------------------------------------------------
     def parse_statement(self) -> ast.Stmt:
+        return self.parse_nested(self._parse_statement)
+
+    def _parse_statement(self) -> ast.Stmt:
         t = self.tok
         if t.is_punct("{"):
             return self.parse_block()
@@ -392,7 +419,7 @@ class _Parser:
     # expressions (precedence climbing)
     # ------------------------------------------------------------------
     def parse_expression(self) -> ast.Expr:
-        return self.parse_assignment()
+        return self.parse_nested(self.parse_assignment, _BRACKET_COST)
 
     def parse_assignment(self) -> ast.Expr:
         left = self.parse_ternary()
@@ -400,7 +427,7 @@ class _Parser:
             if self.tok.is_punct(op):
                 line = self.tok.line
                 self.advance()
-                value = self.parse_assignment()  # right associative
+                value = self.parse_nested(self.parse_assignment)  # right associative
                 return ast.Assign(left, op, value, line=line)
         return left
 
@@ -409,20 +436,23 @@ class _Parser:
         if self.tok.is_punct("?"):
             line = self.tok.line
             self.advance()
-            then = self.parse_assignment()
+            then = self.parse_nested(self.parse_assignment)
             self.expect_punct(":")
-            otherwise = self.parse_assignment()
+            otherwise = self.parse_nested(self.parse_assignment)
             return ast.Conditional(cond, then, otherwise, line=line)
         return cond
 
     def _binary_level(self, sub, ops: tuple[str, ...]) -> ast.Expr:
+        outer = self.depth
         left = sub()
         while any(self.tok.is_punct(op) for op in ops):
             op = self.tok.text
             line = self.tok.line
             self.advance()
+            self.nest()  # a left-deep chain deepens the tree per operator
             right = sub()
             left = ast.Binary(op, left, right, line=line)
+        self.depth = outer
         return left
 
     def parse_logical_or(self) -> ast.Expr:
@@ -447,10 +477,11 @@ class _Parser:
         t = self.tok
         if t.is_punct("-") or t.is_punct("+") or t.is_punct("!"):
             self.advance()
-            return ast.Unary(t.text, self.parse_unary(), line=t.line)
+            return ast.Unary(t.text, self.parse_nested(self.parse_unary),
+                             line=t.line)
         if t.is_punct("&"):
             self.advance()
-            return ast.AddrOf(self.parse_unary(), line=t.line)
+            return ast.AddrOf(self.parse_nested(self.parse_unary), line=t.line)
         if t.is_keyword("sizeof"):
             self.advance()
             self.expect_punct("(")
@@ -465,6 +496,7 @@ class _Parser:
         return self.parse_postfix()
 
     def parse_postfix(self) -> ast.Expr:
+        outer = self.depth
         expr = self.parse_primary()
         while True:
             t = self.tok
@@ -481,7 +513,9 @@ class _Parser:
                 self.advance()
                 expr = ast.IncDec(expr, t.text, line=t.line)
             else:
+                self.depth = outer
                 return expr
+            self.nest()  # each postfix wraps the expression so far
 
     def parse_primary(self) -> ast.Expr:
         t = self.tok

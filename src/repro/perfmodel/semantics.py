@@ -8,7 +8,6 @@ somewhere inside an estimator run.
 
 from __future__ import annotations
 
-from ..util.errors import PMDLSemanticError
 from . import ast
 
 __all__ = ["check_algorithm"]
@@ -53,10 +52,10 @@ class _Checker:
         self.alg = alg
         self.structs = structs
         self.external_names = external_names
-        self.errors: list[str] = []
+        self.errors: list[tuple[int, str]] = []
 
     def err(self, node: ast.Node, message: str) -> None:
-        self.errors.append(f"line {node.line}: {message}")
+        self.errors.append((node.line, message))
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -241,12 +240,8 @@ def check_algorithm(
     alg: ast.Algorithm,
     structs: dict[str, ast.StructDef],
     external_names: set[str] | frozenset[str] = frozenset(),
-) -> None:
-    """Raise :class:`PMDLSemanticError` listing every problem found."""
+) -> list[tuple[int, str]]:
+    """Every problem found, as ``(line, message)`` pairs (empty when clean)."""
     checker = _Checker(alg, structs, set(external_names))
     checker.run()
-    if checker.errors:
-        details = "\n  ".join(checker.errors)
-        raise PMDLSemanticError(
-            f"semantic errors in algorithm {alg.name!r}:\n  {details}"
-        )
+    return checker.errors

@@ -25,7 +25,6 @@ keyword threading — so the cached mapping equals what ``HMPI_Timeof`` /
 from __future__ import annotations
 
 import json
-import re
 from collections import OrderedDict
 from typing import Any
 
@@ -33,39 +32,11 @@ from ..core.mapper import resolve_mapper
 from ..core.netmodel import NetworkModel
 from ..core.runtime import HOST_RANK
 from ..core.seleng import SelectionStats
+from ..perfmodel import stub_externals
 from ..util.errors import OptionError, PMDLError, ReproError
 from .protocol import PROTOCOL_VERSION, BadRequest, JobRequest
 
 __all__ = ["Executor", "WorldContext", "stub_externals"]
-
-#: PMDL keywords that look like calls to the externals regex.
-_PMDL_KEYWORDS = frozenset({
-    "algorithm", "coord", "node", "link", "parent", "scheme",
-    "sizeof", "par", "for", "if", "while", "bench", "length",
-})
-
-# Stable stub per external name: compile-by-digest keys externals by
-# (name, identity), so handing the same callable back for a name makes
-# resubmitted sources cache hits instead of recompiles.
-_STUBS: dict[str, Any] = {}
-
-
-def stub_externals(source: str) -> dict[str, Any]:
-    """Declare every called name in ``source`` as a no-op external.
-
-    The server has no way to receive Python callables over the wire (by
-    design — requests are data, not code), so models whose *volumes*
-    depend on externals should inline them; schemes may still name them.
-    """
-    called = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", source))
-    externals = {}
-    for name in sorted(called - _PMDL_KEYWORDS):
-        fn = _STUBS.get(name)
-        if fn is None:
-            fn = _STUBS[name] = (lambda *a: None)
-        externals[name] = fn
-    return externals
-
 
 class WorldContext:
     """Everything the server knows about one cluster digest.
@@ -169,25 +140,15 @@ class Executor:
     def model_for(self, req: JobRequest) -> Any:
         """Compile (memoised) and bind the request's model."""
         from ..perfmodel import compile_source_cached
+        from ..perfmodel.compiler import select_algorithm
 
         assert req.model is not None
         try:
-            models = compile_source_cached(
-                req.model, stub_externals(req.model))
+            pmodel = select_algorithm(
+                compile_source_cached(req.model, stub_externals(req.model)),
+                req.algorithm)
         except PMDLError as exc:
             raise BadRequest(f"model does not compile: {exc}") from exc
-        if req.algorithm is not None:
-            pmodel = models.get(req.algorithm)
-            if pmodel is None:
-                raise BadRequest(
-                    f"source defines no algorithm named {req.algorithm!r}; "
-                    f"found {sorted(models)}")
-        elif len(models) == 1:
-            pmodel = next(iter(models.values()))
-        else:
-            raise BadRequest(
-                f"source defines {len(models)} algorithms "
-                f"{sorted(models)}; pass 'algorithm' to choose one")
 
         bind_key = (req.model_digest, req.algorithm,
                     None if req.params is None

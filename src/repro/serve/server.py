@@ -1,8 +1,10 @@
-"""The asyncio job server: accept loop, dispatch, and degradation.
+"""The asyncio job server: routing, dispatch, and degradation.
 
-One event loop owns everything that isn't pure computation: HTTP
-parsing, validation, quotas, the batch planner, job bookkeeping, and
-the monitoring surface.  Computation happens in the
+One event loop owns everything that isn't pure computation: validation,
+quotas, the batch planner, job bookkeeping, and the monitoring surface.
+HTTP itself — request reading, response writing, the start/stop
+lifecycle — is :class:`~repro.obs.server.HttpTransport`, the transport
+``repro monitor`` uses too.  Computation happens in the
 :class:`~repro.serve.workers.WorkerPool` lanes; results come back via
 ``call_soon_threadsafe`` so the loop is never blocked by an evaluation.
 
@@ -30,10 +32,10 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import threading
 from typing import Any
 
 from ..obs import EventBus, MetricsRegistry, MonitorRoutes
+from ..obs.server import HttpTransport, json_error
 from .batcher import BatchPlanner
 from .jobs import Job, JobStore
 from .protocol import (
@@ -56,11 +58,8 @@ DEFAULT_WAIT = 30.0
 #: selection.
 BATCH_WINDOW = 0.005
 
-_MAX_BODY = 16 * 1024 * 1024
-_MAX_HEADER_LINES = 100
 
-
-class ServeServer:
+class ServeServer(HttpTransport):
     """Multi-tenant HMPI prediction/selection server.
 
     Use :meth:`start_background` for an in-process server (tests, the
@@ -75,8 +74,7 @@ class ServeServer:
                  max_inflight_total: int = 1024,
                  default_wait: float = DEFAULT_WAIT,
                  batch_window: float = BATCH_WINDOW):
-        self._host = host
-        self._port = port
+        super().__init__(host=host, port=port, name="repro-serve")
         self.workers = workers
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.telemetry = telemetry if telemetry is not None else EventBus()
@@ -94,93 +92,20 @@ class ServeServer:
         self._dispatched: dict[str, list[Job]] = {}
         self._trace_futures: dict[str, asyncio.Future] = {}
         self._flush_armed = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
         self._pool: WorkerPool | None = None
-        self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def _start(self) -> None:
-        self._loop = asyncio.get_running_loop()
+    async def _bind(self) -> asyncio.AbstractServer:
+        server = await super()._bind()
         self._pool = WorkerPool(self.workers, on_result=self._result_from_lane)
-        self._server = await asyncio.start_server(
-            self._handle_client, self._host, self._port)
-        sock = self._server.sockets[0]
-        self._host, self._port = sock.getsockname()[:2]
-
-    async def run(self, on_ready: Any = None) -> None:
-        """Serve until cancelled (the CLI entry point).
-
-        ``on_ready``, when given, is called once the socket is bound —
-        after it the ``url``/``port`` properties report real values.
-        """
-        await self._start()
-        if on_ready is not None:
-            on_ready(self)
-        assert self._server is not None
-        try:
-            async with self._server:
-                await self._server.serve_forever()
-        finally:
-            if self._pool is not None:
-                self._pool.stop()
-
-    def start_background(self) -> "ServeServer":
-        """Run the loop in a daemon thread; returns once bound."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        started = threading.Event()
-
-        def main() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            loop.run_until_complete(self._start())
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=main, name="repro-serve", daemon=True)
-        self._thread.start()
-        if not started.wait(timeout=30.0):  # pragma: no cover
-            raise RuntimeError("serve loop failed to start")
-        return self
+        return server
 
     def stop(self) -> None:
-        if self._thread is None:
-            if self._pool is not None:
-                self._pool.stop()
-            return
-        loop = self._loop
-        assert loop is not None
-
-        def shutdown() -> None:
-            if self._server is not None:
-                self._server.close()
-            loop.stop()
-
-        loop.call_soon_threadsafe(shutdown)
-        self._thread.join(timeout=10.0)
+        super().stop()
         if self._pool is not None:
             self._pool.stop()
-        self._thread = None
-
-    @property
-    def host(self) -> str:
-        return self._host
-
-    @property
-    def port(self) -> int:
-        return self._port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self._host}:{self._port}"
 
     def _health_extra(self) -> dict[str, Any]:
         return {
@@ -191,111 +116,32 @@ class ServeServer:
         }
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, body = await self._read_request(reader)
-            except (ValueError, asyncio.IncompleteReadError) as exc:
-                await self._respond(writer, 400, {"error": f"bad request: {exc}"})
-                return
-            except ConnectionError:
-                return
-            try:
-                status, payload = await self._route(method, path, body)
-            except ServeError as exc:
-                status, payload = exc.status, {"error": str(exc)}
-            except Exception as exc:  # never kill the accept loop
-                status, payload = 500, {
-                    "error": f"{type(exc).__name__}: {exc}"}
-            await self._respond(writer, status, payload)
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
-        request_line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
-        if not request_line:
-            raise ValueError("empty request")
-        parts = request_line.split(" ")
-        if len(parts) != 3:
-            raise ValueError(f"malformed request line {request_line!r}")
-        method, path, _version = parts
-        length = 0
-        for _ in range(_MAX_HEADER_LINES):
-            line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    raise ValueError("bad Content-Length") from None
-        else:
-            raise ValueError("too many headers")
-        if length < 0 or length > _MAX_BODY:
-            raise ValueError(f"body length {length} out of bounds")
-        body = await reader.readexactly(length) if length else b""
-        return method, path, body
-
-    @staticmethod
-    async def _respond(writer: asyncio.StreamWriter, status: int,
-                       payload: Any, ctype: str = "application/json") -> None:
-        if isinstance(payload, _Raw):
-            ctype = payload.ctype
-            body = payload.text.encode("utf-8")
-        elif isinstance(payload, (dict, list)):
-            body = (json.dumps(payload) + "\n").encode("utf-8")
-        elif isinstance(payload, str):
-            body = payload.encode("utf-8")
-        else:
-            body = payload
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 405: "Method Not Allowed",
-                  429: "Too Many Requests", 500: "Internal Server Error",
-                  504: "Gateway Timeout"}.get(status, "Status")
-        head = (f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n").encode("latin-1")
-        writer.write(head + body)
-        try:
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-
-    # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    async def _route(self, method: str, path: str,
-                     body: bytes) -> tuple[int, Any]:
+    async def handle(self, method: str, path: str,
+                     body: bytes) -> tuple[int, str, str]:
+        """The job API as JSON with every ServeError typed, the
+        monitoring routes as they render."""
         plain = path.split("?", 1)[0].rstrip("/") or "/"
-        if plain == "/v1/jobs":
-            if method != "POST":
-                return 405, {"error": "POST required"}
-            return await self._submit(body)
-        if plain.startswith("/v1/jobs/"):
-            if method != "GET":
-                return 405, {"error": "GET required"}
-            rest = plain[len("/v1/jobs/"):]
-            if rest.endswith("/trace"):
-                return await self._trace(rest[:-len("/trace")])
-            return self._job_status(rest)
-        if method != "GET":
-            return 405, {"error": "GET required"}
-        handled = self._routes.handle(path)
-        if handled is not None:
-            status, ctype, text = handled
-            return status, _Raw(text, ctype)
-        return 404, {"error": f"no route {plain!r}"}
+        try:
+            if plain == "/v1/jobs":
+                if method != "POST":
+                    return json_error(405, "POST required")
+                status, doc = await self._submit(body)
+            elif method != "GET":
+                return json_error(405, "GET required")
+            elif plain.startswith("/v1/jobs/"):
+                rest = plain[len("/v1/jobs/"):]
+                if rest.endswith("/trace"):
+                    status, doc = await self._trace(rest[:-len("/trace")])
+                else:
+                    status, doc = self._job_status(rest)
+            else:
+                return (self._routes.handle(path)
+                        or json_error(404, f"no route {plain!r}"))
+        except ServeError as exc:
+            return json_error(exc.status, str(exc))
+        return status, "application/json", json.dumps(doc) + "\n"
 
     # ------------------------------------------------------------------
     # job submission and completion
@@ -321,8 +167,8 @@ class ServeServer:
         self.planner.add(job)
         self._arm_flush()
         if request.timeout is not None:
-            assert self._loop is not None
-            self._loop.call_later(request.timeout, self._expire, job)
+            asyncio.get_running_loop().call_later(
+                request.timeout, self._expire, job)
 
         wait = self.default_wait if request.wait is None else request.wait
         if wait <= 0:
@@ -364,8 +210,7 @@ class ServeServer:
         if self._flush_armed:
             return
         self._flush_armed = True
-        assert self._loop is not None
-        self._loop.create_task(self._flush_soon())
+        asyncio.get_running_loop().create_task(self._flush_soon())
 
     async def _flush_soon(self) -> None:
         await asyncio.sleep(self.batch_window)
@@ -393,7 +238,7 @@ class ServeServer:
 
     # Called from the collector thread — bounce into the loop.
     def _result_from_lane(self, task_id: str, outcomes: list[dict]) -> None:
-        loop = self._loop
+        loop = self.loop
         if loop is not None and loop.is_running():
             loop.call_soon_threadsafe(self._apply_outcomes, task_id, outcomes)
 
@@ -435,9 +280,9 @@ class ServeServer:
                 f"job {job_id} is {job.status}; trace exists once done")
         if job.trace is not None:
             return 200, job.trace
-        assert self._pool is not None and self._loop is not None
+        assert self._pool is not None
         task_id = f"t{next(self._task_ids):08d}"
-        future: asyncio.Future = self._loop.create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._trace_futures[task_id] = future
         rep = job.request
         shard = rep.world_digest or rep.model_digest or "0"
@@ -452,11 +297,3 @@ class ServeServer:
             raise BadRequest(outcome["error"])
         job.trace = outcome["ok"]
         return 200, job.trace
-
-
-class _Raw:
-    """Marker for pre-rendered (non-JSON) response bodies."""
-
-    def __init__(self, text: str, ctype: str):
-        self.text = text
-        self.ctype = ctype

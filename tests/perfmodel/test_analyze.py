@@ -220,3 +220,42 @@ class TestCheckSourceEdgeCases:
         }
         """)
         assert report.errors == [], report.render()
+
+
+def _model(volume: str = "1", scheme: str = "") -> str:
+    return (f"algorithm A(int p) {{ coord I=p; node {{ I>=0: bench*({volume}); }};"
+            f" parent[0]; scheme {{ {scheme} }}; }}")
+
+
+class TestFrontEndBounds:
+    """Hostile nesting and literals are a PM001, never an escaped exception."""
+
+    HOSTILE = {
+        "nested parens": _model("(" * 3000 + "1" + ")" * 3000),
+        "nested blocks": _model(scheme="{" * 3000 + "}" * 3000),
+        "5000-digit literal": _model("1" * 5000),
+        # no parser recursion at all: the depth is in the tree it builds
+        "left-deep operator chain": _model("+".join(["1"] * 3000)),
+        "postfix chain": _model(scheme="int a; a" + "[0]" * 3000 + ";"),
+        "if chain": _model(scheme="if (1) " * 3000 + ";"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_check_source_reports_pm001(self, name):
+        report = check_source(self.HOSTILE[name])
+        assert report.codes() == ["PM001"], report.render()
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_compile_source_raises_syntax_error(self, name):
+        from repro.util.errors import PMDLSyntaxError
+        with pytest.raises(PMDLSyntaxError, match="nesting exceeds|literal longer"):
+            compile_source(self.HOSTILE[name])
+
+    def test_a_model_at_the_bound_survives_every_later_pass(self):
+        # The bound exists for the passes *after* the parser; a chain just
+        # inside it must check (net included), compile, bind and evaluate.
+        from repro.perfmodel.parser import MAX_NESTING
+        src = _model("+".join(["1"] * (MAX_NESTING - 10)))
+        assert check_source(src, net=True).errors == []
+        bound = compile_model(src).bind(p=3)
+        assert bound.node_volumes().tolist() == [MAX_NESTING - 10] * 3

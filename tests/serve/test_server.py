@@ -320,6 +320,24 @@ class TestProtocolSurface:
         assert result["op"] == "check"
         assert isinstance(result["report"], dict)
 
+    #: A model the front end must refuse, not choke on: before the lexer's
+    #: literal bound this was an ``int()`` ValueError and an HTTP 500.
+    HUGE_LITERAL = RING.replace("64", "1" * 5000)
+
+    def test_served_check_of_a_hostile_model_is_a_200_report(self, server):
+        client = ServeClient(server.url, tenant="checker")
+        result = client.check(self.HUGE_LITERAL)
+        assert result["exit_code"] == 1
+        assert [d["code"] for d in result["report"]["diagnostics"]] == ["PM001"]
+
+    def test_served_timeof_of_a_hostile_model_is_400(self, server):
+        client = ServeClient(server.url, tenant="checker")
+        with pytest.raises(ServeHTTPError) as err:
+            client.submit(ring_job([4, 4, 4, 4], model=self.HUGE_LITERAL))
+        assert err.value.status == 400
+        assert "literal longer" in str(err.value)
+        assert client.healthz()["status"] == "ok"
+
 
 class TestJobStoreAccounting:
     def test_healthz_counts_settle_after_a_burst(self, server):
