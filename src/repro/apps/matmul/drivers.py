@@ -172,13 +172,19 @@ def run_matmul_hmpi(
             else:
                 chosen_l = l
             dist = heterogeneous_distribution(n, chosen_l, grid)
-            predicted = hmpi.timeof(bind_matmul_model(dist, r), mapper=mapper)
+            # One bound model for Timeof, Group_create and record_measured:
+            # the selection cache keys on model identity, so Group_create
+            # reuses the selection Timeof just solved.
+            model = bind_matmul_model(dist, r)
+            predicted = hmpi.timeof(model, mapper=mapper)
             choice = (chosen_l, dist, predicted)
         else:
             choice = None
         chosen_l, dist, predicted = hmpi.comm_world.bcast(choice, root=0)
+        if not hmpi.is_host():
+            model = bind_matmul_model(dist, r)
 
-        gid = hmpi.group_create(bind_matmul_model(dist, r), mapper=mapper)
+        gid = hmpi.group_create(model, mapper=mapper)
         out = None
         if gid.is_member:
             comm = gid.comm
@@ -189,7 +195,7 @@ def run_matmul_hmpi(
 
             total, elapsed = _timed_region(comm, member_compute, dist, r, seed)
             if hmpi.is_host():
-                hmpi.record_measured(bind_matmul_model(dist, r), elapsed)
+                hmpi.record_measured(model, elapsed)
             out = (total, elapsed, gid.world_ranks, chosen_l, predicted, dist)
             hmpi.group_free(gid)
         return out

@@ -35,7 +35,7 @@ groups".
 
 from __future__ import annotations
 
-import itertools
+import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Callable
@@ -131,6 +131,41 @@ class Mapper(ABC):
         """
 
 
+def _class_representatives(pool: Sequence[int], labels: Sequence, k: int):
+    """Yield one ``k``-permutation of ``pool`` per distinct label sequence.
+
+    ``labels[i]`` is the equivalence class of ``pool[i]``.  The walk fills
+    the slots depth-first; at each slot it tries every class that still has
+    an unused member, ordered by the pool position of that class's next
+    unused member, and takes that member.  The result is exactly what
+    keeping the first permutation seen per label sequence, out of all
+    ``k``-permutations in lexicographic order, would keep, in the same
+    order — with all-distinct labels, every permutation.
+    """
+    members: dict = {}
+    for pos, label in enumerate(labels):
+        members.setdefault(label, []).append(pos)
+    groups = list(members.values())
+    taken = [0] * len(groups)
+    chosen = [0] * k
+
+    def walk(slot: int):
+        if slot == k:
+            yield tuple(chosen)
+            return
+        for pos, g in sorted(
+            (group[t], g)
+            for g, (group, t) in enumerate(zip(groups, taken))
+            if t < len(group)
+        ):
+            chosen[slot] = pool[pos]
+            taken[g] += 1
+            yield from walk(slot + 1)
+            taken[g] -= 1
+
+    return walk(0)
+
+
 class ExhaustiveMapper(Mapper):
     """Optimal selection by enumeration.
 
@@ -143,23 +178,22 @@ class ExhaustiveMapper(Mapper):
     the paper's switched Ethernet); set it to False for clusters with
     heterogeneous links.
 
+    The cost is one evaluation per distinct class signature; pruned
+    permutations are counted, not visited (:func:`_class_representatives`),
+    so a large symmetric pool costs nothing beyond its representatives.
     ``max_evaluations`` guards against combinatorial blow-up of the
-    evaluated assignments; ``max_symmetry_skips`` separately bounds the
-    permutations *pruned* by symmetry, so a huge symmetric search space
-    cannot spin the enumeration loop unboundedly.  Both counts are
-    reported through :class:`SelectionStats`.
+    evaluated assignments.  Both counts are reported through
+    :class:`SelectionStats`.
     """
 
     def __init__(
         self,
         reduce_symmetry: bool = True,
         max_evaluations: int = 200_000,
-        max_symmetry_skips: int = 5_000_000,
         batch_size: int = 512,
     ):
         self.reduce_symmetry = reduce_symmetry
         self.max_evaluations = max_evaluations
-        self.max_symmetry_skips = max_symmetry_skips
         self.batch_size = batch_size
 
     def select(
@@ -175,35 +209,34 @@ class ExhaustiveMapper(Mapper):
         _check_inputs(model, candidates, fixed)
         n = model.nproc
         free_slots = [i for i in range(n) if i not in fixed]
-        pool = [c for c in candidates if c not in set(fixed.values())]
+        pinned = set(fixed.values())
+        pool = [c for c in candidates if c not in pinned]
         evaluator = TraceEvaluator(model, netmodel, stats)
 
         base = [0] * n
         for idx, proc in fixed.items():
             base[idx] = proc
 
-        # Equivalence class per candidate process: permutations whose
-        # per-slot class sequence was already seen cannot price differently
-        # when links are uniform.  With a topology attached, uniformity
-        # only holds among leaves of the same parent node (siblings see
-        # identical link costs to every other machine), so the class is
-        # refined by the machine's parent path.
-        class_of: dict[int, int] = {}
+        # Equivalence class per pool process: assignments with the same
+        # per-slot class sequence cannot price differently when links are
+        # uniform.  With a topology attached, uniformity only holds among
+        # leaves of the same parent node (siblings see identical link
+        # costs to every other machine), so the class is refined by the
+        # machine's parent path.  Without symmetry reduction every process
+        # is its own class and the same walk visits every permutation.
+        labels: list = pool
         if self.reduce_symmetry:
             topology = netmodel.cluster.topology
-            classes: dict[tuple, int] = {}
-            for c in candidates:
-                m = netmodel.machine_of(c)
-                speed = netmodel.speed_of_machine(m)
-                parent = topology.parent_key(m) if topology is not None else None
-                class_of[c] = classes.setdefault((speed, parent), len(classes))
+            labels = [
+                (netmodel.speed_of_machine(m),
+                 topology.parent_key(m) if topology is not None else None)
+                for m in map(netmodel.machine_of, pool)
+            ]
 
         best_time = float("inf")
         best_procs: tuple[int, ...] | None = None
         best_machines: tuple[int, ...] | None = None
         evaluations = 0
-        skipped = 0
-        seen_signatures: set[tuple[int, ...]] = set()
         pending: list[tuple[int, ...]] = []
 
         def flush() -> None:
@@ -221,38 +254,24 @@ class ExhaustiveMapper(Mapper):
                 best_machines = tuple(machines[idx])
             pending.clear()
 
-        for combo in itertools.permutations(pool, len(free_slots)):
-            assignment = list(base)
-            for slot, proc in zip(free_slots, combo):
-                assignment[slot] = proc
-            if self.reduce_symmetry:
-                signature = tuple(class_of[p] for p in assignment)
-                if signature in seen_signatures:
-                    skipped += 1
-                    if skipped > self.max_symmetry_skips:
-                        if stats is not None:
-                            stats.symmetry_skips += skipped
-                        raise MappingError(
-                            f"exhaustive search pruned more than "
-                            f"{self.max_symmetry_skips} symmetric permutations; "
-                            "use GreedyMapper/DefaultMapper"
-                        )
-                    continue
-                seen_signatures.add(signature)
+        for combo in _class_representatives(pool, labels, len(free_slots)):
             evaluations += 1
             if evaluations > self.max_evaluations:
-                if stats is not None:
-                    stats.symmetry_skips += skipped
                 raise MappingError(
                     f"exhaustive search exceeded {self.max_evaluations} "
                     "evaluations; use GreedyMapper/DefaultMapper"
                 )
+            assignment = list(base)
+            for slot, proc in zip(free_slots, combo):
+                assignment[slot] = proc
             pending.append(tuple(assignment))
             if len(pending) >= self.batch_size:
                 flush()
         flush()
         if stats is not None:
-            stats.symmetry_skips += skipped
+            stats.symmetry_skips += (
+                math.perm(len(pool), len(free_slots)) - evaluations
+            )
         assert best_procs is not None and best_machines is not None
         return Mapping(best_procs, best_machines, best_time)
 
@@ -364,7 +383,8 @@ class RefineMapper(Mapper):
 
         for _ in range(self.max_rounds):
             assignment = list(current.processes)
-            unused = [c for c in candidates if c not in set(assignment)]
+            used = set(assignment)
+            unused = [c for c in candidates if c not in used]
             trials: list[list[int]] = []
             # swap moves
             for i in range(n):

@@ -90,7 +90,8 @@ class AnnealingMapper(Mapper):
 
         for _ in range(self.moves):
             trial = list(assignment)
-            unused = [c for c in candidates if c not in set(trial)]
+            used = set(trial)
+            unused = [c for c in candidates if c not in used]
             # swap two movable slots, or move one slot to an unused process
             if unused and rng.random() < 0.5:
                 i = movable[int(rng.integers(len(movable)))]

@@ -15,6 +15,7 @@ All nodes carry their source line for diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Iterator
 
 __all__ = [
@@ -302,14 +303,19 @@ class Algorithm(Node):
 # generic traversal (used by the static analyzer)
 # ----------------------------------------------------------------------
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def iter_child_nodes(node: Node) -> Iterator[Node]:
     """Yield every direct child :class:`Node` of ``node``, in field order.
 
     Lists of nodes are flattened; ``None`` children and non-node fields
     (names, operators, literal values) are skipped.
     """
-    for f in fields(node):
-        value = getattr(node, f.name)
+    for name in _field_names(type(node)):
+        value = getattr(node, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, list):

@@ -13,11 +13,19 @@ Semantics follow C where the paper's models rely on it:
 The two action statements are not evaluated for value: they are dispatched
 to an :class:`ActionVisitor`, which is how the HMPI estimator observes the
 algorithm's interaction structure without executing the real program.
+
+Handlers are resolved once, not per visit: each expression node is lowered
+to a closure the first time it is evaluated and kept on the
+:class:`Interpreter` (one per ``PerformanceModel``, so every bind and every
+scheme walk of a model shares them); statements dispatch through a
+per-class table.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Sequence
+from functools import partial
 from typing import Any
 
 from ..mpi.datatypes import sizeof
@@ -178,9 +186,9 @@ def _c_mod(a: Any, b: Any) -> Any:
 
 
 _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": _c_div,
     "%": _c_mod,
     "==": lambda a, b: int(a == b),
@@ -191,7 +199,23 @@ _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
     ">=": lambda a, b: int(a >= b),
 }
 
+_UNOPS: dict[str, Callable[[Any], Any]] = {
+    "-": operator.neg,
+    "+": operator.pos,
+    "!": lambda v: int(not v),
+}
+
 _MAX_LOOP_ITERATIONS = 10_000_000  # runaway-scheme safety net
+
+#: A lowered expression: call it with the environment to get the value.
+Thunk = Callable[[Environment], Any]
+
+
+def _raiser(message: str) -> Thunk:
+    """A thunk for a node that cannot be evaluated: raises when reached."""
+    def run(env: Environment) -> Any:
+        raise PMDLRuntimeError(message)
+    return run
 
 
 class Interpreter:
@@ -212,74 +236,92 @@ class Interpreter:
     ):
         self.structs = structs or {}
         self.externals = externals or {}
+        # id(node) -> (node, thunk): AST dataclasses are unhashable, and
+        # holding the node keeps its id from being reused.
+        self._lowered: dict[int, tuple[ast.Expr, Thunk]] = {}
 
     # ------------------------------------------------------------------
     # expressions
     # ------------------------------------------------------------------
     def eval(self, expr: ast.Expr, env: Environment) -> Any:
-        method = getattr(self, f"_eval_{type(expr).__name__}", None)
-        if method is None:
-            raise PMDLRuntimeError(
-                f"cannot evaluate {type(expr).__name__} (line {expr.line})"
-            )
-        return method(expr, env)
+        return self.lower(expr)(env)
 
-    def _eval_IntLit(self, e: ast.IntLit, env: Environment) -> int:
-        return e.value
+    def lower(self, expr: ast.Expr) -> Thunk:
+        """The closure evaluating ``expr``, built on first use."""
+        entry = self._lowered.get(id(expr))
+        if entry is None:
+            lowering = _LOWERINGS.get(type(expr), Interpreter._lower_unknown)
+            entry = self._lowered[id(expr)] = (expr, lowering(self, expr))
+        return entry[1]
 
-    def _eval_FloatLit(self, e: ast.FloatLit, env: Environment) -> float:
-        return e.value
+    def _lower_unknown(self, e: ast.Expr) -> Thunk:
+        return _raiser(f"cannot evaluate {type(e).__name__} (line {e.line})")
 
-    def _eval_Name(self, e: ast.Name, env: Environment) -> Any:
-        return env.lookup(e.ident)
+    def _lower_literal(self, e: ast.IntLit | ast.FloatLit) -> Thunk:
+        value = e.value
+        return lambda env: value
 
-    def _eval_Sizeof(self, e: ast.Sizeof, env: Environment) -> int:
-        return sizeof(e.type_name)
+    def _lower_Name(self, e: ast.Name) -> Thunk:
+        ident = e.ident
+        return lambda env: env.lookup(ident)
 
-    def _eval_Index(self, e: ast.Index, env: Environment) -> Any:
-        base = self.eval(e.base, env)
-        idx = self.eval(e.index, env)
-        try:
-            value = base[idx]
-        except (IndexError, KeyError, TypeError) as exc:
-            raise PMDLRuntimeError(
-                f"bad index {idx!r} (line {e.line}): {exc}"
-            ) from None
-        # NumPy scalar -> Python scalar, so downstream C-division sees ints.
-        if hasattr(value, "item") and getattr(value, "ndim", None) == 0:
-            return value.item()
-        return value
+    def _lower_Sizeof(self, e: ast.Sizeof) -> Thunk:
+        type_name = e.type_name
+        return lambda env: sizeof(type_name)
 
-    def _eval_Member(self, e: ast.Member, env: Environment) -> Any:
-        base = self.eval(e.base, env)
-        if not isinstance(base, StructValue):
-            raise PMDLRuntimeError(
-                f"member access on non-struct value (line {e.line})"
-            )
-        return base.get(e.name)
+    def _lower_Index(self, e: ast.Index) -> Thunk:
+        base_of, index_of, line = self.lower(e.base), self.lower(e.index), e.line
 
-    def _eval_Unary(self, e: ast.Unary, env: Environment) -> Any:
-        v = self.eval(e.operand, env)
-        if e.op == "-":
-            return -v
-        if e.op == "+":
-            return +v
-        if e.op == "!":
-            return int(not v)
-        raise PMDLRuntimeError(f"unknown unary operator {e.op!r}")
+        def run(env: Environment) -> Any:
+            base = base_of(env)
+            idx = index_of(env)
+            try:
+                value = base[idx]
+            except (IndexError, KeyError, TypeError) as exc:
+                raise PMDLRuntimeError(
+                    f"bad index {idx!r} (line {line}): {exc}"
+                ) from None
+            # NumPy scalar -> Python scalar, so downstream C-division sees ints.
+            if hasattr(value, "item") and getattr(value, "ndim", None) == 0:
+                return value.item()
+            return value
+        return run
 
-    def _eval_Binary(self, e: ast.Binary, env: Environment) -> Any:
+    def _lower_Member(self, e: ast.Member) -> Thunk:
+        base_of, name, line = self.lower(e.base), e.name, e.line
+
+        def run(env: Environment) -> Any:
+            base = base_of(env)
+            if not isinstance(base, StructValue):
+                raise PMDLRuntimeError(
+                    f"member access on non-struct value (line {line})"
+                )
+            return base.get(name)
+        return run
+
+    def _lower_Unary(self, e: ast.Unary) -> Thunk:
+        fn = _UNOPS.get(e.op)
+        if fn is None:
+            return _raiser(f"unknown unary operator {e.op!r}")
+        operand = self.lower(e.operand)
+        return lambda env: fn(operand(env))
+
+    def _lower_Binary(self, e: ast.Binary) -> Thunk:
+        left, right = self.lower(e.left), self.lower(e.right)
         if e.op == "&&":
-            return int(bool(self.eval(e.left, env)) and bool(self.eval(e.right, env)))
+            return lambda env: int(bool(left(env)) and bool(right(env)))
         if e.op == "||":
-            return int(bool(self.eval(e.left, env)) or bool(self.eval(e.right, env)))
+            return lambda env: int(bool(left(env)) or bool(right(env)))
         fn = _BINOPS.get(e.op)
         if fn is None:
-            raise PMDLRuntimeError(f"unknown binary operator {e.op!r}")
-        return fn(self.eval(e.left, env), self.eval(e.right, env))
+            return _raiser(f"unknown binary operator {e.op!r}")
+        return lambda env: fn(left(env), right(env))
 
-    def _eval_Conditional(self, e: ast.Conditional, env: Environment) -> Any:
-        return self.eval(e.then if self.eval(e.cond, env) else e.otherwise, env)
+    def _lower_Conditional(self, e: ast.Conditional) -> Thunk:
+        cond, then, otherwise = (
+            self.lower(e.cond), self.lower(e.then), self.lower(e.otherwise)
+        )
+        return lambda env: (then if cond(env) else otherwise)(env)
 
     def _eval_Assign(self, e: ast.Assign, env: Environment) -> Any:
         value = self.eval(e.value, env)
@@ -351,12 +393,12 @@ class Interpreter:
             env.pop()
 
     def exec(self, stmt: ast.Stmt, env: Environment, visitor: ActionVisitor) -> None:
-        method = getattr(self, f"_exec_{type(stmt).__name__}", None)
-        if method is None:
+        handler = _EXEC_HANDLERS.get(type(stmt))
+        if handler is None:
             raise PMDLRuntimeError(
                 f"cannot execute {type(stmt).__name__} (line {stmt.line})"
             )
-        method(stmt, env, visitor)
+        handler(self, stmt, env, visitor)
 
     def _exec_EmptyStmt(self, s: ast.EmptyStmt, env: Environment, visitor: ActionVisitor) -> None:
         pass
@@ -396,13 +438,15 @@ class Interpreter:
                 self._exec_VarDecl(s.init, env, visitor)
             elif s.init is not None:
                 self.eval(s.init, env)
+            cond = None if s.cond is None else self.lower(s.cond)
+            update = None if s.update is None else self.lower(s.update)
             iterations = 0
-            while s.cond is None or self.eval(s.cond, env):
+            while cond is None or cond(env):
                 if par:
                     visitor.next_par_branch(s.line)
                 self.exec(s.body, env, visitor)
-                if s.update is not None:
-                    self.eval(s.update, env)
+                if update is not None:
+                    update(env)
                 iterations += 1
                 if iterations > _MAX_LOOP_ITERATIONS:
                     raise PMDLRuntimeError(
@@ -429,8 +473,9 @@ class Interpreter:
         self._run_loop(s, env, visitor, par=True)
 
     def _exec_While(self, s: ast.While, env: Environment, visitor: ActionVisitor) -> None:
+        cond = self.lower(s.cond)
         iterations = 0
-        while self.eval(s.cond, env):
+        while cond(env):
             self.exec(s.body, env, visitor)
             iterations += 1
             if iterations > _MAX_LOOP_ITERATIONS:
@@ -452,3 +497,44 @@ class Interpreter:
         dst = tuple(int(self.eval(c, env)) for c in s.dst)
         visitor.at_line(s.line)
         visitor.transfer(float(percent), src, dst)
+
+
+def _bound(
+    handler: Callable[[Interpreter, Any, Environment], Any]
+) -> Callable[[Interpreter, Any], Thunk]:
+    """Lowering for the rarer kinds: bind the node to its handler method."""
+    return lambda interp, node: partial(handler, interp, node)
+
+
+# Handler tables, built once.  The expression kinds that dominate the visit
+# count lower to closures over their lowered children.
+_LOWERINGS: dict[type, Callable[[Interpreter, Any], Thunk]] = {
+    ast.IntLit: Interpreter._lower_literal,
+    ast.FloatLit: Interpreter._lower_literal,
+    ast.Name: Interpreter._lower_Name,
+    ast.Sizeof: Interpreter._lower_Sizeof,
+    ast.Index: Interpreter._lower_Index,
+    ast.Member: Interpreter._lower_Member,
+    ast.Unary: Interpreter._lower_Unary,
+    ast.Binary: Interpreter._lower_Binary,
+    ast.Conditional: Interpreter._lower_Conditional,
+    ast.Assign: _bound(Interpreter._eval_Assign),
+    ast.IncDec: _bound(Interpreter._eval_IncDec),
+    ast.AddrOf: _bound(Interpreter._eval_AddrOf),
+    ast.Call: _bound(Interpreter._eval_Call),
+}
+
+_EXEC_HANDLERS: dict[
+    type, Callable[[Interpreter, Any, Environment, ActionVisitor], None]
+] = {
+    ast.EmptyStmt: Interpreter._exec_EmptyStmt,
+    ast.ExprStmt: Interpreter._exec_ExprStmt,
+    ast.Block: Interpreter._exec_Block,
+    ast.VarDecl: Interpreter._exec_VarDecl,
+    ast.If: Interpreter._exec_If,
+    ast.For: Interpreter._exec_For,
+    ast.Par: Interpreter._exec_Par,
+    ast.While: Interpreter._exec_While,
+    ast.ComputeAction: Interpreter._exec_ComputeAction,
+    ast.TransferAction: Interpreter._exec_TransferAction,
+}

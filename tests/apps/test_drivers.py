@@ -75,3 +75,27 @@ class TestMatmulDrivers:
 
         with pytest.raises(ReproError):
             run_matmul_mpi(homogeneous_network(4), n=9, r=4, m=3)
+
+    def test_selection_solved_once_per_run(self, monkeypatch):
+        """Fig. 8's Timeof -> Group_create idiom is one selection: the host
+        binds the model once, so Group_create hits the selection cache."""
+        from repro.core import seleng
+        from repro.obs import Observability
+
+        builds = []
+
+        class CountingTrace(seleng.CompiledTrace):
+            __slots__ = ()
+
+            def __init__(self, model):
+                builds.append(model)
+                super().__init__(model)
+
+        monkeypatch.setattr(seleng, "CompiledTrace", CountingTrace)
+        obs = Observability()
+        run_matmul_hmpi(paper_network(), n=12, r=4, m=3, l=6, seed=1,
+                        mapper=GreedyMapper(), obs=obs)
+        assert len(builds) == 1
+        obs.snapshot()
+        hits = obs.metrics.series("hmpi.selection.cache_hits")
+        assert sum(gauge.value for gauge in hits) >= 1

@@ -1,5 +1,7 @@
 """The compiled selection engine: cache semantics, stats, symmetry bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -184,13 +186,36 @@ class TestExhaustiveSymmetry:
         # collapses 4P2 = 12 permutations into one evaluation.
         assert stats.evaluations + stats.symmetry_skips == 12
 
-    def test_symmetry_skip_bound_raises(self):
+    def test_pruned_permutations_counted_not_visited(self):
         cluster = homogeneous_network(8)
         netmodel = NetworkModel(cluster, list(range(8)))
         model = make_model(nproc=4, seed=2)
-        mapper = ExhaustiveMapper(reduce_symmetry=True, max_symmetry_skips=10)
-        with pytest.raises(MappingError, match="symmetric permutations"):
-            mapper.select(model, netmodel, list(range(8)), {0: 0})
+        stats = SelectionStats()
+        ExhaustiveMapper().select(
+            model, netmodel, list(range(8)), {0: 0}, stats=stats
+        )
+        assert stats.evaluations == 1
+        assert stats.symmetry_skips == math.perm(7, 3) - 1
+
+    def test_large_symmetric_pool_is_solved(self):
+        """16 machines in three speed classes (10+3+3), EM3D p=9: the
+        pruned permutations are arithmetic, so the optimum is reachable."""
+        from repro.apps.em3d import bind_em3d_model, generate_problem
+        from repro.cluster import uniform_network
+        from repro.core.mapper import DefaultMapper
+
+        cluster = uniform_network([46.0] * 10 + [106.0] * 3 + [176.0] * 3)
+        netmodel = NetworkModel(cluster, list(range(16)))
+        model = bind_em3d_model(
+            generate_problem(p=9, total_nodes=27_000, seed=3), k=100)
+        fixed = {model.parent_index(): 0}
+        stats = SelectionStats()
+        optimum = ExhaustiveMapper().select(
+            model, netmodel, list(range(16)), fixed, stats=stats)
+        default = DefaultMapper().select(
+            model, netmodel, list(range(16)), fixed)
+        assert optimum.time <= default.time
+        assert stats.evaluations + stats.symmetry_skips == math.perm(15, 8)
 
     def test_evaluation_bound_raises(self):
         cluster = paper_network()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.perfmodel import ast, compile_model
 from repro.perfmodel.interp import (
     ActionVisitor,
     Environment,
@@ -9,6 +10,7 @@ from repro.perfmodel.interp import (
     Ref,
     StructValue,
 )
+from repro.perfmodel.model import LinearActionVisitor
 from repro.perfmodel.parser import parse, parse_expression
 from repro.util.errors import PMDLRuntimeError
 
@@ -225,3 +227,84 @@ class TestSchemeExecution:
     def test_compound_assignment(self):
         events = run_scheme("int x = 4; x *= 3; 100%%[x];")
         assert events[0][2] == (12,)
+
+
+class LinearRecorder(LinearActionVisitor):
+    def __init__(self):
+        self.events = []
+
+    def compute(self, percent, proc):
+        self.events.append(("C", percent, proc))
+
+    def transfer(self, percent, src, dst):
+        self.events.append(("T", percent, src, dst))
+
+
+class TestLoweredOnce:
+    """Nodes are lowered to closures once per interpreter/model."""
+
+    def test_unknown_node_kind_raises_when_reached(self):
+        class Mystery(ast.Expr):
+            pass
+
+        interp = Interpreter()
+        with pytest.raises(PMDLRuntimeError,
+                           match=r"cannot evaluate Mystery \(line 7\)"):
+            interp.eval(Mystery(line=7), Environment())
+        # ...and only when reached: the short-circuit never evaluates it.
+        guarded = ast.Binary("&&", ast.IntLit(0), Mystery(line=7))
+        assert interp.eval(guarded, Environment()) == 0
+        with pytest.raises(PMDLRuntimeError, match="cannot execute Mystery"):
+            interp.exec(Mystery(line=7), Environment(), RecordingVisitor())
+
+    def test_same_node_same_closure(self):
+        interp = Interpreter()
+        expr = parse_expression("a*2 + (a > 1 ? a : -a)")
+        assert interp.lower(expr) is interp.lower(expr)
+        assert interp.eval(expr, Environment({"a": 3})) == 9
+        assert interp.eval(expr, Environment({"a": -3})) == -3
+
+    def test_register_external_after_first_evaluation(self):
+        pm = compile_model("""
+        algorithm A(int p) {
+          coord I=p;
+          node {I>=0: bench*(1);};
+          scheme { int i; for (i = 0; i < p; i++) (Scale(i)*50)%%[i]; };
+        }
+        """, externals={"Scale": lambda i: 1})
+
+        def percents():
+            recorder = LinearRecorder()
+            pm.bind(2).walk_scheme(recorder)
+            return [e[1] for e in recorder.events]
+
+        assert percents() == [50.0, 50.0]
+        pm.register_external("Scale", lambda i: 2)
+        assert percents() == [100.0, 100.0]
+
+    def test_binds_share_the_lowered_closures(self):
+        from repro.apps.matmul import (
+            MM_MODEL_SOURCE,
+            heterogeneous_distribution,
+            make_get_processor,
+            speed_grid,
+        )
+
+        pm = compile_model(MM_MODEL_SOURCE,
+                           externals={"GetProcessor": make_get_processor()})
+        dist = heterogeneous_distribution(
+            12, 6, speed_grid([46.0, 46.0, 106.0, 176.0], 2, host_machine=0))
+
+        def bind_and_walk():
+            bound = pm.bind(dist.m, 2, dist.n, dist.l, list(dist.w), dist.h4())
+            bound.node_volumes()
+            bound.link_volumes()
+            recorder = LinearRecorder()
+            bound.walk_scheme(recorder)
+            return recorder.events
+
+        first = bind_and_walk()
+        lowered = dict(pm.interpreter._lowered)
+        assert first and lowered
+        assert bind_and_walk() == first
+        assert pm.interpreter._lowered == lowered
