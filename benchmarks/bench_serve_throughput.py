@@ -1,9 +1,10 @@
 """Serving throughput — batched warm-cache serving vs naive evaluation.
 
 The server exists because `HMPI_Timeof` is a pure function of
-(model, cluster, params): identical-shape requests coalesce through the
-batch planner and hit the speed-epoch-keyed selection cache, so the
-marginal cost of a served prediction is HTTP framing, not a selection.
+(model, cluster, params): identical-shape requests hit the
+speed-epoch-keyed selection cache (and coalesce when they queue behind a
+busy lane), so the marginal cost of a served prediction is HTTP framing,
+not a selection.
 This bench pins that claim on an identical-shape Timeof workload (the
 capacity-planning case: many tenants asking the same question about the
 same world):
@@ -12,13 +13,12 @@ same world):
   full compile + world build + selection a standalone script pays
   (fresh :class:`~repro.serve.exec.Executor` per request);
 - **served** — concurrent clients against a warm in-process
-  :class:`~repro.serve.server.ServeServer`, requests riding the batcher
-  and the shared selection cache.
+  :class:`~repro.serve.server.ServeServer`, requests riding the shared
+  selection cache.
 
 The served pipeline must sustain **≥ 5×** the naive request throughput.
-A second check isolates the planner: a burst submitted inside one batch
-window must collapse to a single dispatched batch (N jobs, 1
-evaluation).
+(Burst coalescing is pinned in tier-1:
+``tests/serve/test_server.py::test_burst_behind_a_busy_lane_coalesces_to_one_batch``.)
 
 With ``--smoke``, a quick regression check compares served throughput
 against ``benchmarks/baselines/serve_smoke.json`` (fails below half the
@@ -114,37 +114,6 @@ def test_serve_throughput(report):
     assert served_rps >= 5.0 * naive_rps, (
         f"served {served_rps:,.0f} req/s is less than 5x the naive "
         f"{naive_rps:,.0f} req/s")
-
-
-def test_serve_burst_coalesces_to_one_batch(report):
-    """A one-window burst is one dispatched batch: N jobs, 1 evaluation."""
-    server = ServeServer(workers=0, batch_window=0.25).start_background()
-    try:
-        n = 12
-        results: list[float] = []
-
-        def submit(i: int) -> None:
-            client = ServeClient(server.url, tenant=f"burst-{i}")
-            results.append(client.timeof(
-                EM3D_MODEL_SOURCE, params=PARAMS, cluster="paper"))
-
-        threads = [threading.Thread(target=submit, args=(i,))
-                   for i in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = ServeClient(server.url).healthz()["batcher"]
-        t = Table("jobs in", "batches out", "coalesced",
-                  title="Batch planner — identical burst in one window")
-        t.add(stats["jobs_in"], stats["batches_out"], stats["coalesced"])
-        report.emit(t.render())
-        assert len(set(results)) == 1
-        assert stats["jobs_in"] == n
-        assert stats["batches_out"] == 1
-        assert stats["coalesced"] == n - 1
-    finally:
-        server.stop()
 
 
 def test_serve_throughput_smoke(smoke):

@@ -30,13 +30,16 @@ from typing import Any
 __all__ = ["render_openmetrics", "parse_openmetrics"]
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
+# A label set ends at the first ``}`` outside a quoted value; inside the
+# quotes a client-chosen value may hold anything, braces included.
 _SAMPLE_LINE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
+    r'(?:\{(?P<labels>(?:[^"}]|"(?:[^"\\]|\\.)*")*)\})?'
     r" (?P<value>\S+)"
     r"(?P<rest>.*)$"
 )
 _LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+_ESCAPED = re.compile(r"\\(.)")
 
 
 def _sanitize(name: str) -> str:
@@ -212,8 +215,10 @@ def parse_openmetrics(text: str) -> dict[str, dict[str, Any]]:
                 raise ValueError(
                     f"line {lineno}: malformed label set: {line!r}")
             for k, v in pairs:
-                labels[k] = v.replace('\\"', '"').replace("\\n", "\n") \
-                             .replace("\\\\", "\\")
+                # One left-to-right pass, so an escaped backslash followed
+                # by an ``n`` does not read as a newline.
+                labels[k] = _ESCAPED.sub(
+                    lambda esc: "\n" if esc[1] == "n" else esc[1], v)
         rest = m.group("rest").strip()
         if rest and not rest.startswith("#"):
             raise ValueError(

@@ -21,7 +21,7 @@ call — server and tests share one execution path
 (:meth:`repro.serve.exec.Executor.execute`).
 """
 
-from .batcher import Batch, BatchPlanner
+from .batcher import BatchPlanner
 from .client import ServeClient, ServeHTTPError, connect
 from .exec import Executor, WorldContext
 from .jobs import JOB_STATES, Job, JobStore
@@ -36,7 +36,7 @@ from .protocol import (
     ServeError,
     validate_request,
 )
-from .server import BATCH_WINDOW, DEFAULT_WAIT, ServeServer
+from .server import DEFAULT_WAIT, ServeServer
 from .workers import WorkerPool
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "WorldContext",
     "WorkerPool",
     "BatchPlanner",
-    "Batch",
     "Job",
     "JobStore",
     "JOB_STATES",
@@ -62,5 +61,4 @@ __all__ = [
     "PROTOCOL_VERSION",
     "SERVE_OPS",
     "DEFAULT_WAIT",
-    "BATCH_WINDOW",
 ]

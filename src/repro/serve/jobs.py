@@ -13,12 +13,16 @@ Jobs live in the server process only — workers see request dicts, never
   and a late worker result for a timed-out job is discarded.
 
 Finished jobs are retained (bounded, LRU-evicted) so ``GET /v1/jobs/<id>``
-works after completion.
+works after completion — as *cold records*: at its terminal transition a
+job's document is frozen as the JSON text every later GET answers with,
+and the parsed request, result tree and waiter event are dropped.  The
+request body stays as it arrived; ``/trace`` re-validates it when asked.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
 from collections import OrderedDict
@@ -36,44 +40,51 @@ JOB_STATES = ("queued", "running", "done", "error", "timeout", "rejected")
 _TERMINAL = frozenset({"done", "error", "timeout", "rejected"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One submitted request and its lifecycle."""
 
     id: str
-    request: JobRequest
+    tenant: str
+    op: str
+    body: bytes  # the request as it arrived
+    request: JobRequest | None  # None once terminal
     status: str = "queued"
-    result: Any = None
-    error: str | None = None
     status_code: int = 200
+    response: str | None = None  # the document as JSON text, set once terminal
     submitted: float = field(default_factory=time.monotonic)
     finished_at: float | None = None
-    trace: dict | None = None
+    trace: str | None = None  # Chrome-trace JSON text, once asked for
     done_event: Any = None  # asyncio.Event, attached by the server loop
 
     @property
     def terminal(self) -> bool:
         return self.status in _TERMINAL
 
-    @property
-    def tenant(self) -> str:
-        return self.request.tenant
-
     def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "id": self.id,
-            "op": self.request.op,
-            "tenant": self.tenant,
-            "status": self.status,
-        }
-        if self.result is not None:
-            doc["result"] = self.result
-        if self.error is not None:
-            doc["error"] = self.error
+        """What is known of a job before it ends."""
+        return {"id": self.id, "op": self.op, "tenant": self.tenant,
+                "status": self.status}
+
+    def document(self) -> str:
+        """The job's JSON document; the same text forever once terminal."""
+        return self.response or json.dumps(self.to_dict())
+
+    def _settle(self, status: str, status_code: int, result: Any,
+                error: str | None) -> None:
+        """Enter a terminal state and go cold."""
+        self.status = status
+        self.status_code = status_code
+        doc = self.to_dict()
+        if result is not None:
+            doc["result"] = result
+        if error is not None:
+            doc["error"] = error
         if self.finished_at is not None:
             doc["elapsed_seconds"] = round(
                 self.finished_at - self.submitted, 6)
-        return doc
+        self.response = json.dumps(doc)
+        self.request = None
 
 
 class JobStore:
@@ -94,27 +105,24 @@ class JobStore:
         self.rejected = 0
 
     # ------------------------------------------------------------------
-    def submit(self, request: JobRequest) -> Job:
+    def submit(self, request: JobRequest, body: bytes = b"") -> Job:
         """Admit a request, or raise :class:`QuotaExceeded` (429)."""
         with self._lock:
-            job = Job(id=f"j{next(self._ids):08d}", request=request)
             tenant = request.tenant
+            job = Job(id=f"j{next(self._ids):08d}", tenant=tenant,
+                      op=request.op, body=body, request=request)
+            refusal = None
             if self._inflight_total >= self.max_inflight_total:
+                refusal = (f"server saturated: {self._inflight_total} "
+                           "jobs in flight")
+            elif self._inflight.get(tenant, 0) >= self.max_inflight_per_tenant:
+                refusal = (f"tenant {tenant!r} quota exceeded: "
+                           f"{self.max_inflight_per_tenant} jobs in flight")
+            if refusal is not None:
                 self.rejected += 1
-                job.status = "rejected"
-                job.status_code = 429
-                job.error = (f"server saturated: {self._inflight_total} "
-                             "jobs in flight")
+                job._settle("rejected", 429, None, refusal)
                 self._remember(job)
-                raise QuotaExceeded(job.error)
-            if self._inflight.get(tenant, 0) >= self.max_inflight_per_tenant:
-                self.rejected += 1
-                job.status = "rejected"
-                job.status_code = 429
-                job.error = (f"tenant {tenant!r} quota exceeded: "
-                             f"{self.max_inflight_per_tenant} jobs in flight")
-                self._remember(job)
-                raise QuotaExceeded(job.error)
+                raise QuotaExceeded(refusal)
             self.submitted += 1
             self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
             self._inflight_total += 1
@@ -139,6 +147,11 @@ class JobStore:
             raise NotFound(f"no such job {job_id!r}")
         return job
 
+    def live(self) -> list[Job]:
+        """Jobs that have not reached a terminal state."""
+        with self._lock:
+            return [job for job in self._jobs.values() if not job.terminal]
+
     # ------------------------------------------------------------------
     def mark_running(self, job: Job) -> None:
         with self._lock:
@@ -152,11 +165,8 @@ class JobStore:
         with self._lock:
             if job.terminal:
                 return False
-            job.status = status
-            job.result = result
-            job.error = error
-            job.status_code = status_code
             job.finished_at = time.monotonic()
+            job._settle(status, status_code, result, error)
             tenant = job.tenant
             remaining = self._inflight.get(tenant, 1) - 1
             if remaining > 0:
@@ -164,8 +174,9 @@ class JobStore:
             else:
                 self._inflight.pop(tenant, None)
             self._inflight_total -= 1
-        if job.done_event is not None:
-            job.done_event.set()
+        event, job.done_event = job.done_event, None
+        if event is not None:
+            event.set()
         return True
 
     # ------------------------------------------------------------------

@@ -17,7 +17,8 @@ the operation:
     ``campaign`` (a full campaign config object) and ``cell`` (the
     expanded cell index to execute).
 
-Common optional keys: ``tenant`` (quota accounting key, default
+Common optional keys: ``tenant`` (quota accounting key and metric label,
+1 to 64 characters from ``[A-Za-z0-9_.:@-]``, default
 ``"anonymous"``), ``wait`` (seconds the POST blocks for the result;
 ``0`` returns 202 immediately), ``timeout`` (job execution budget).
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -67,6 +69,10 @@ _REQUEST_KEYS = frozenset({
 })
 
 DEFAULT_TENANT = "anonymous"
+
+#: A tenant becomes a metric label and a quota key: short, and nothing a
+#: scrape parser or a log line could misread.
+_TENANT_OK = re.compile(r"[A-Za-z0-9_.:@-]{1,64}\Z")
 
 
 class ServeError(ReproError):
@@ -140,17 +146,7 @@ class JobRequest:
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form shipped to worker processes (picklable)."""
-        return {
-            "op": self.op, "tenant": self.tenant, "model": self.model,
-            "algorithm": self.algorithm, "params": self.params,
-            "cluster": self.cluster, "mapper": self.mapper,
-            "iterations": self.iterations, "speeds": self.speeds,
-            "net": self.net, "strict": self.strict,
-            "campaign": self.campaign, "cell": self.cell,
-            "model_digest": self.model_digest,
-            "world_digest": self.world_digest,
-            "shape_digest": self.shape_digest,
-        }
+        return dict(vars(self))
 
 
 def _check_number(raw: dict, key: str, *, minimum: float = 0.0):
@@ -189,8 +185,9 @@ def validate_request(raw: Any) -> JobRequest:
                    f"expected one of {', '.join(SERVE_OPS)}")
 
     tenant = raw.get("tenant", DEFAULT_TENANT)
-    if not isinstance(tenant, str) or not tenant:
-        raise _bad(f"'tenant' must be a non-empty string, got {tenant!r}")
+    if not isinstance(tenant, str) or not _TENANT_OK.match(tenant):
+        raise _bad("'tenant' must be 1 to 64 characters from "
+                   f"[A-Za-z0-9_.:@-], got {tenant!r:.80}")
 
     req = JobRequest(op=op, tenant=tenant)
     req.wait = _check_number(raw, "wait")

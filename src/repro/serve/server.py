@@ -11,8 +11,13 @@ lifecycle — is :class:`~repro.obs.server.HttpTransport`, the transport
 Request lifecycle::
 
     POST /v1/jobs ──validate──▶ JobStore.submit (429 on quota)
-        └─▶ BatchPlanner ──(batch window)──▶ WorkerPool lane
-                 └──────────── result ────▶ finish + wake waiters
+        └─▶ BatchPlanner ──(lane idle)──▶ WorkerPool lane
+                 ▲                             │
+                 └── drain ◀── result ─────────┴─▶ finish + wake waiters
+
+A job whose lane has nothing outstanding is shipped at once; one that
+arrives behind a busy lane waits in the planner and leaves, coalesced
+with its equals, when the lane's last outstanding task reports back.
 
 A POST blocks up to ``wait`` seconds (default 30; ``wait: 0`` returns
 202 immediately) and degrades to **504** when the result isn't ready —
@@ -32,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+from collections import Counter
 from typing import Any
 
 from ..obs import EventBus, MetricsRegistry, MonitorRoutes
@@ -40,7 +46,9 @@ from .batcher import BatchPlanner
 from .jobs import Job, JobStore
 from .protocol import (
     PROTOCOL_VERSION,
+    SELECTION_OPS,
     BadRequest,
+    JobRequest,
     NotFound,
     QuotaExceeded,
     ServeError,
@@ -48,15 +56,15 @@ from .protocol import (
 )
 from .workers import WorkerPool
 
-__all__ = ["ServeServer", "DEFAULT_WAIT", "BATCH_WINDOW"]
+__all__ = ["ServeServer", "DEFAULT_WAIT"]
 
 #: Seconds a POST waits for its result before degrading to 504.
 DEFAULT_WAIT = 30.0
 
-#: Seconds the planner lets concurrent submissions pile up before a
-#: flush — long enough to coalesce a burst, invisible next to a
-#: selection.
-BATCH_WINDOW = 0.005
+
+def _shard(request: JobRequest) -> str:
+    """The digest that routes a request to its lane: its world's."""
+    return request.world_digest or request.model_digest or "0"
 
 
 class ServeServer(HttpTransport):
@@ -72,8 +80,7 @@ class ServeServer(HttpTransport):
                  telemetry: EventBus | None = None,
                  max_inflight_per_tenant: int = 64,
                  max_inflight_total: int = 1024,
-                 default_wait: float = DEFAULT_WAIT,
-                 batch_window: float = BATCH_WINDOW):
+                 default_wait: float = DEFAULT_WAIT):
         super().__init__(host=host, port=port, name="repro-serve")
         self.workers = workers
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -83,15 +90,15 @@ class ServeServer(HttpTransport):
             max_inflight_total=max_inflight_total)
         self.planner = BatchPlanner()
         self.default_wait = default_wait
-        self.batch_window = batch_window
         self._routes = MonitorRoutes(
             snapshot_fn=self.metrics.snapshot,
             telemetry=self.telemetry,
             health_extra=self._health_extra)
         self._task_ids = itertools.count(1)
-        self._dispatched: dict[str, list[Job]] = {}
-        self._trace_futures: dict[str, asyncio.Future] = {}
-        self._flush_armed = False
+        # Shipped tasks, id -> (lane, batch jobs or trace future), and how
+        # many of them each lane still owes a result for.
+        self._tasks: dict[str, tuple[int, list[Job] | asyncio.Future]] = {}
+        self._outstanding: Counter[int] = Counter()
         self._pool: WorkerPool | None = None
 
     # ------------------------------------------------------------------
@@ -106,6 +113,13 @@ class ServeServer(HttpTransport):
         super().stop()
         if self._pool is not None:
             self._pool.stop()
+        # No result can arrive now: fail what was shipped or still queued.
+        for job in self.store.live():
+            if self.store.finish(job, status="error", status_code=503,
+                                 error="server stopped"):
+                self._finish_metrics(job)
+        self._tasks.clear()
+        self._outstanding.clear()
 
     def _health_extra(self) -> dict[str, Any]:
         return {
@@ -127,114 +141,116 @@ class ServeServer(HttpTransport):
             if plain == "/v1/jobs":
                 if method != "POST":
                     return json_error(405, "POST required")
-                status, doc = await self._submit(body)
+                status, text = await self._submit(body)
             elif method != "GET":
                 return json_error(405, "GET required")
             elif plain.startswith("/v1/jobs/"):
                 rest = plain[len("/v1/jobs/"):]
                 if rest.endswith("/trace"):
-                    status, doc = await self._trace(rest[:-len("/trace")])
+                    status, text = await self._trace(rest[:-len("/trace")])
                 else:
-                    status, doc = self._job_status(rest)
+                    status, text = 200, self.store.get(rest).document()
             else:
                 return (self._routes.handle(path)
                         or json_error(404, f"no route {plain!r}"))
         except ServeError as exc:
             return json_error(exc.status, str(exc))
-        return status, "application/json", json.dumps(doc) + "\n"
+        return status, "application/json", text + "\n"
 
     # ------------------------------------------------------------------
     # job submission and completion
     # ------------------------------------------------------------------
-    async def _submit(self, body: bytes) -> tuple[int, Any]:
+    @staticmethod
+    def _parse(body: bytes) -> JobRequest:
         try:
             raw = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequest(f"request body is not JSON: {exc}") from exc
-        request = validate_request(raw)
+        return validate_request(raw)
+
+    async def _submit(self, body: bytes) -> tuple[int, str]:
+        request = self._parse(body)
         tenant, op = request.tenant, request.op
         try:
-            job = self.store.submit(request)
+            job = self.store.submit(request, body)
         except QuotaExceeded:
             self.metrics.counter("serve.jobs.rejected", tenant=tenant).inc()
             self.telemetry.emit("serve", "job.reject", tenant=tenant, op=op)
             raise
-        job.done_event = asyncio.Event()
         self.metrics.counter("serve.jobs.submitted", tenant=tenant, op=op).inc()
         self.metrics.gauge("serve.jobs.inflight").set(self.store.inflight())
         self.telemetry.emit("serve", "job.submit",
                             job=job.id, tenant=tenant, op=op)
-        self.planner.add(job)
-        self._arm_flush()
+        assert self._pool is not None
+        lane = self._pool.lane_of(_shard(request))
+        self.planner.add(job, lane)
+        if not self._outstanding[lane]:
+            self._dispatch(lane)
         if request.timeout is not None:
             asyncio.get_running_loop().call_later(
-                request.timeout, self._expire, job)
+                request.timeout, self._expire, job, request.timeout)
 
         wait = self.default_wait if request.wait is None else request.wait
         if wait <= 0:
-            return 202, {"id": job.id, "status": job.status}
+            return 202, json.dumps({"id": job.id, "status": job.status})
+        done = job.done_event = asyncio.Event()
         try:
-            await asyncio.wait_for(job.done_event.wait(), timeout=wait)
+            await asyncio.wait_for(done.wait(), timeout=wait)
         except asyncio.TimeoutError:
-            doc = job.to_dict()
-            doc["error"] = f"result not ready within wait={wait}s; poll the id"
-            return 504, doc
-        return job.status_code, job.to_dict()
+            if not job.terminal:
+                doc = job.to_dict()
+                doc["error"] = (f"result not ready within wait={wait}s; "
+                                "poll the id")
+                return 504, json.dumps(doc)
+        return job.status_code, job.document()
 
-    def _expire(self, job: Job) -> None:
-        if self.store.finish(
-                job, status="timeout", status_code=504,
-                error=f"job exceeded its {job.request.timeout}s budget"):
+    def _expire(self, job: Job, budget: float) -> None:
+        if self.store.finish(job, status="timeout", status_code=504,
+                             error=f"job exceeded its {budget}s budget"):
             self._finish_metrics(job)
 
-    def _finish_metrics(self, job: Job) -> None:
+    def _finish_metrics(self, job: Job, result: Any = None) -> None:
         self.metrics.counter("serve.jobs.completed", tenant=job.tenant,
-                             op=job.request.op, status=job.status).inc()
+                             op=job.op, status=job.status).inc()
         self.metrics.gauge("serve.jobs.inflight").set(self.store.inflight())
         if job.finished_at is not None:
-            self.metrics.histogram("serve.latency.seconds",
-                                   op=job.request.op).observe(
+            self.metrics.histogram("serve.latency.seconds", op=job.op).observe(
                 job.finished_at - job.submitted)
-        if isinstance(job.result, dict) and "cache" in job.result:
-            which = ("serve.cache.hits" if job.result["cache"] == "hit"
+        if isinstance(result, dict) and "cache" in result:
+            which = ("serve.cache.hits" if result["cache"] == "hit"
                      else "serve.cache.misses")
             self.metrics.counter(which, tenant=job.tenant).inc()
         self.telemetry.emit("serve", "job.finish", job=job.id,
-                            tenant=job.tenant, op=job.request.op,
-                            status=job.status)
+                            tenant=job.tenant, op=job.op, status=job.status)
 
     # ------------------------------------------------------------------
-    # batching and dispatch
+    # dispatch
     # ------------------------------------------------------------------
-    def _arm_flush(self) -> None:
-        if self._flush_armed:
-            return
-        self._flush_armed = True
-        asyncio.get_running_loop().create_task(self._flush_soon())
-
-    async def _flush_soon(self) -> None:
-        await asyncio.sleep(self.batch_window)
-        self._flush_armed = False
+    def _ship(self, kind: str, requests: list[JobRequest],
+              owner: list[Job] | asyncio.Future) -> str:
+        """Send one task to its lane and count it outstanding there."""
         assert self._pool is not None
-        for batch in self.planner.drain():
-            jobs = [job for job in batch.jobs if not job.terminal]
-            if not jobs:
-                continue
+        task_id = f"t{next(self._task_ids):08d}"
+        shard = _shard(requests[0])
+        lane = self._pool.lane_of(shard)
+        self._tasks[task_id] = (lane, owner)
+        self._outstanding[lane] += 1
+        self._pool.submit(task_id, shard, {
+            "kind": kind, "requests": [req.to_dict() for req in requests]})
+        return task_id
+
+    def _dispatch(self, lane: int) -> None:
+        """Ship everything queued for an idle lane, one task per batch."""
+        for jobs in self.planner.drain(lane):
             for job in jobs:
                 self.store.mark_running(job)
-            task_id = f"t{next(self._task_ids):08d}"
-            self._dispatched[task_id] = jobs
-            rep = jobs[0].request
-            shard = rep.world_digest or rep.model_digest or "0"
             if len(jobs) > 1:
                 self.metrics.counter("serve.jobs.coalesced").inc(len(jobs) - 1)
             self.metrics.counter("serve.batches.dispatched").inc()
+            requests = [job.request for job in jobs]
+            task_id = self._ship("batch", requests, jobs)
             self.telemetry.emit("serve", "batch.dispatch", task=task_id,
-                                jobs=len(jobs), key=batch.key[0])
-            self._pool.submit(task_id, shard, {
-                "kind": "batch",
-                "requests": [job.request.to_dict() for job in jobs],
-            })
+                                jobs=len(jobs), key=requests[0].batch_key[0])
 
     # Called from the collector thread — bounce into the loop.
     def _result_from_lane(self, task_id: str, outcomes: list[dict]) -> None:
@@ -243,57 +259,49 @@ class ServeServer(HttpTransport):
             loop.call_soon_threadsafe(self._apply_outcomes, task_id, outcomes)
 
     def _apply_outcomes(self, task_id: str, outcomes: list[dict]) -> None:
-        future = self._trace_futures.pop(task_id, None)
-        if future is not None:
-            if not future.done():
-                future.set_result(outcomes[0])
+        task = self._tasks.pop(task_id, None)
+        if task is None:
             return
-        jobs = self._dispatched.pop(task_id, None)
-        if jobs is None:
-            return
-        for job, outcome in zip(jobs, outcomes):
-            if "ok" in outcome:
-                finished = self.store.finish(job, status="done",
-                                             result=outcome["ok"])
-            else:
-                finished = self.store.finish(
-                    job, status="error", error=outcome["error"],
-                    status_code=int(outcome.get("status", 500)))
-            if finished:
-                self._finish_metrics(job)
+        lane, owner = task
+        self._outstanding[lane] -= 1
+        if isinstance(owner, asyncio.Future):
+            if not owner.done():  # cancelled when the trace wait expired
+                owner.set_result(outcomes[0])
+        else:
+            for job, outcome in zip(owner, outcomes):
+                if "ok" in outcome:
+                    finished = self.store.finish(job, status="done",
+                                                 result=outcome["ok"])
+                else:
+                    finished = self.store.finish(
+                        job, status="error", error=outcome["error"],
+                        status_code=int(outcome.get("status", 500)))
+                if finished:
+                    self._finish_metrics(job, outcome.get("ok"))
+        if not self._outstanding[lane]:
+            self._dispatch(lane)
 
     # ------------------------------------------------------------------
-    # status and trace
+    # trace
     # ------------------------------------------------------------------
-    def _job_status(self, job_id: str) -> tuple[int, Any]:
+    async def _trace(self, job_id: str) -> tuple[int, str]:
         job = self.store.get(job_id)
-        return 200, job.to_dict()
-
-    async def _trace(self, job_id: str) -> tuple[int, Any]:
-        job = self.store.get(job_id)
-        if job.request.op not in ("timeof", "group_create"):
+        if job.op not in SELECTION_OPS:
             raise BadRequest(
-                f"job {job_id} is a {job.request.op!r} job; traces exist "
+                f"job {job_id} is a {job.op!r} job; traces exist "
                 "for timeof and group_create jobs")
         if job.status != "done":
             raise NotFound(
                 f"job {job_id} is {job.status}; trace exists once done")
-        if job.trace is not None:
-            return 200, job.trace
-        assert self._pool is not None
-        task_id = f"t{next(self._task_ids):08d}"
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._trace_futures[task_id] = future
-        rep = job.request
-        shard = rep.world_digest or rep.model_digest or "0"
-        self._pool.submit(task_id, shard, {
-            "kind": "trace", "requests": [rep.to_dict()]})
-        try:
-            outcome = await asyncio.wait_for(future, timeout=self.default_wait)
-        except asyncio.TimeoutError as exc:
-            self._trace_futures.pop(task_id, None)
-            raise ServeError("trace export timed out") from exc
-        if "error" in outcome:
-            raise BadRequest(outcome["error"])
-        job.trace = outcome["ok"]
+        if job.trace is None:
+            future: asyncio.Future = asyncio.get_running_loop().create_future()
+            self._ship("trace", [self._parse(job.body)], future)
+            try:
+                outcome = await asyncio.wait_for(future,
+                                                 timeout=self.default_wait)
+            except asyncio.TimeoutError as exc:
+                raise ServeError("trace export timed out") from exc
+            if "error" in outcome:
+                raise BadRequest(outcome["error"])
+            job.trace = json.dumps(outcome["ok"])
         return 200, job.trace

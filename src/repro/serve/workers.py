@@ -100,9 +100,6 @@ class _InlineLane:
             task_id, payload = task
             outbox.put((task_id, execute_payload(executor, payload)))
 
-    def stop(self) -> None:
-        self.inbox.put(None)
-
 
 class WorkerPool:
     """Sharded lanes with a single result callback.
@@ -118,7 +115,6 @@ class WorkerPool:
         self.on_result = on_result
         self._procs: list[Any] = []
         self._inboxes: list[Any] = []
-        self._lanes: list[_InlineLane] = []
         self._stopped = False
         self._pending: dict[str, tuple[int, int]] = {}  # task -> (lane, njobs)
         self._lock = threading.Lock()
@@ -135,9 +131,8 @@ class WorkerPool:
         else:
             self._outbox = queue.Queue()
             nlanes = 4
-            self._lanes = [_InlineLane(i, self._outbox)
-                           for i in range(nlanes)]
-            self._inboxes = [lane.inbox for lane in self._lanes]
+            self._inboxes = [_InlineLane(i, self._outbox).inbox
+                             for i in range(nlanes)]
             self.nlanes = nlanes
         self._collector = threading.Thread(
             target=self._collect, name="repro-serve-collector", daemon=True)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, parse_openmetrics, render_openmetrics
 
@@ -96,6 +98,24 @@ class TestRoundTrip:
                    for n, l, v in families["latency_us"]["samples"]
                    if n.endswith("_bucket")}
         assert buckets == {"1.0": 1.0, "10.0": 2.0, "+Inf": 3.0}
+
+
+    @given(tenant=st.text(), op=st.text())
+    @example(tenant="a}b{", op="timeof")      # closed the label set early
+    @example(tenant="\\n", op='",x="')        # backslash-n is not a newline
+    def test_any_label_value_round_trips(self, tenant, op):
+        reg = MetricsRegistry()
+        reg.counter("jobs", tenant=tenant, op=op).inc(2)
+        reg.gauge("depth", tenant=tenant).set(1.0, vtime=0.5)
+        reg.histogram("wait", bounds=(1.0,), tenant=tenant).observe(0.5)
+        families = parse_openmetrics(render_openmetrics(reg))
+        assert families["jobs"]["samples"] == [
+            ("jobs_total", {"tenant": tenant, "op": op}, 2.0)]
+        assert families["depth"]["samples"] == [
+            ("depth", {"tenant": tenant}, 1.0)]
+        assert [labels for _, labels, _ in families["wait"]["samples"]] == [
+            {"tenant": tenant, "le": "1.0"}, {"tenant": tenant, "le": "+Inf"},
+            {"tenant": tenant}, {"tenant": tenant}]
 
 
 class TestParseRejections:

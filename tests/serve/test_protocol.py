@@ -57,6 +57,18 @@ class TestValidation:
         with pytest.raises(BadRequest, match="tenant"):
             validate_request(ring_request(tenant=tenant))
 
+    @pytest.mark.parametrize("tenant", ["a}b{", "two words", "line\nbreak",
+                                        "caf\u00e9", "x" * 65])
+    def test_tenant_outside_the_label_alphabet_rejected(self, tenant):
+        with pytest.raises(BadRequest, match=r"1 to 64 characters from "
+                                             r"\[A-Za-z0-9_.:@-\]") as err:
+            validate_request(ring_request(tenant=tenant))
+        assert len(str(err.value)) < 200  # the value is quoted, not echoed whole
+
+    def test_tenant_alphabet_and_length_limit_accepted(self):
+        for tenant in ("team-a", "svc.batch:7@eu_west", "x" * 64):
+            assert validate_request(ring_request(tenant=tenant)).tenant == tenant
+
     @pytest.mark.parametrize("key", ["wait", "timeout", "iterations"])
     def test_numbers_must_be_nonnegative_numbers(self, key):
         with pytest.raises(BadRequest, match=key):

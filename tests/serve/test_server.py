@@ -1,8 +1,9 @@
 """Concurrent serving over real HTTP: isolation, batching, degradation.
 
 Everything runs against in-process servers (inline lanes) on ephemeral
-ports; the multiprocessing path is covered by the throughput bench and
-the CI smoke job.
+ports, except the worker-death case, which needs a process to kill; the
+rest of the multiprocessing path is covered by the suite's
+``serve_miss`` workload and the CI smoke job.
 """
 
 import json
@@ -44,6 +45,21 @@ def ring_job(v, **over):
            "params": {"p": len(v), "v": v}, "cluster": "paper"}
     raw.update(over)
     return raw
+
+
+def park_lane_of(server, cluster="paper") -> str:
+    """Keep the lane ``cluster`` shards to busy for most of a second with
+    a slow campaign cell (``wait=0``); returns the parking job's id."""
+    lane = server._pool.lane_of(cluster_digest(cluster))
+    for salt in range(64):
+        campaign = {**SLOW_CAMPAIGN, "name": f"slow-{salt}"}
+        if server._pool.lane_of(canonical_digest(campaign)) == lane:
+            doc = ServeClient(server.url, tenant="parker").submit(
+                {"op": "campaign_cell", "campaign": campaign, "cell": 0},
+                wait=0)
+            assert doc["status"] == "running"
+            return doc["id"]
+    raise AssertionError(f"no campaign name shards to lane {lane}")
 
 
 def metric_total(text: str, family: str, **labels) -> float:
@@ -95,35 +111,61 @@ class TestParallelIsolation:
         assert results == {
             i: expected[tuple(v)] for i, v in enumerate(payloads)}
 
-    def test_identical_burst_coalesces_to_fewer_batches(self):
-        # A long batch window guarantees the whole burst lands in one
-        # flush: 8 jobs, 1 evaluation, 7 coalesced.
-        srv = ServeServer(workers=0, batch_window=0.25).start_background()
-        try:
-            results = []
+    def test_burst_behind_a_busy_lane_coalesces_to_one_batch(self, server):
+        # Nothing waits on an idle lane, so the burst is fired while its
+        # lane is busy: 8 jobs queue behind the parked cell and leave as
+        # one batch — 1 evaluation, 7 coalesced.
+        park_lane_of(server)
+        results = []
 
-            def submit(i):
-                client = ServeClient(srv.url, tenant=f"burst-{i}")
-                results.append(client.timeof(
-                    RING, params={"p": 4, "v": [5, 5, 5, 5]},
-                    cluster="paper"))
+        def submit(i):
+            client = ServeClient(server.url, tenant=f"burst-{i}")
+            results.append(client.timeof(
+                RING, params={"p": 4, "v": [5, 5, 5, 5]}, cluster="paper"))
 
-            threads = [threading.Thread(target=submit, args=(i,))
-                       for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert len(set(results)) == 1  # one answer, shared
-            health = ServeClient(srv.url).healthz()
-            stats = health["batcher"]
-            assert stats["jobs_in"] == 8
-            assert stats["coalesced"] >= 7
-            text = ServeClient(srv.url).metrics_text()
-            assert metric_total(text, "serve_jobs_coalesced") >= 7
-            assert metric_total(text, "serve_batches_dispatched") == 1
-        finally:
-            srv.stop()
+        threads = [threading.Thread(target=submit, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert len(results) == 8 and len(set(results)) == 1  # one answer, shared
+        stats = ServeClient(server.url).healthz()["batcher"]
+        assert stats["jobs_in"] == 9
+        assert stats["coalesced"] == 7
+        text = ServeClient(server.url).metrics_text()
+        assert metric_total(text, "serve_jobs_coalesced") == 7
+        assert metric_total(text, "serve_batches_dispatched") == 2
+
+    def test_an_idle_lane_dispatches_at_once(self, server):
+        client = ServeClient(server.url, tenant="solo")
+        for _ in range(3):
+            client.timeof(RING, params={"p": 4, "v": [5, 5, 5, 5]},
+                          cluster="paper")
+        stats = client.healthz()["batcher"]
+        assert (stats["jobs_in"], stats["batches_out"],
+                stats["coalesced"], stats["pending"]) == (3, 3, 0, 0)
+
+    def test_a_busy_lane_keeps_arrival_order_across_speed_updates(self, server):
+        # speeds=A, plain, speeds=B, plain queue behind one busy lane; the
+        # two plain jobs are identical, and coalescing them would answer
+        # the second under the epoch of update A.
+        park_lane_of(server)
+        a = [9.0, 106.0, 176.0] * 3
+        b = [176.0] * 9
+        raws = [ring_job([5, 5, 5, 5], speeds=a), ring_job([5, 5, 5, 5]),
+                ring_job([5, 5, 5, 5], speeds=b), ring_job([5, 5, 5, 5])]
+        client = ServeClient(server.url, tenant="recon")
+        docs = [client.submit(raw, wait=0) for raw in raws]
+        assert [doc["status"] for doc in docs] == ["queued"] * 4
+        served = [client.wait(doc["id"], timeout=30)["result"] for doc in docs]
+        direct = Executor()
+        expected = [direct.execute(validate_request(dict(raw))) for raw in raws]
+        strip = lambda res: {k: v for k, v in res.items() if k != "cache"}
+        assert [strip(r) for r in served] == [strip(r) for r in expected]
+        epochs = [r["speed_epoch"] for r in served]
+        assert 0 < epochs[0] == epochs[1] < epochs[2] == epochs[3]
+        assert served[1]["predicted_time"] != served[3]["predicted_time"]
 
 
 class TestCacheMetrics:
@@ -144,22 +186,25 @@ class TestCacheMetrics:
 
 
 class TestDegradation:
-    def test_tenant_quota_is_429_and_isolated(self):
-        srv = ServeServer(workers=0, max_inflight_per_tenant=1,
-                          batch_window=0.5).start_background()
+    def test_running_job_counts_against_the_tenant_quota(self):
+        srv = ServeServer(workers=0,
+                          max_inflight_per_tenant=1).start_background()
         try:
             greedy = ServeClient(srv.url, tenant="greedy")
             polite = ServeClient(srv.url, tenant="polite")
-            # First job parks in the (slow) batch window; the second
-            # overruns the tenant's in-flight quota.
-            greedy.submit(ring_job([1, 1, 1, 1]), wait=0)
+            # The first job is running, not waiting — still in flight, so
+            # the second overruns the tenant's quota.
+            first = greedy.submit({"op": "campaign_cell",
+                                   "campaign": SLOW_CAMPAIGN, "cell": 0},
+                                  wait=0)
+            assert first["status"] == "running"
             with pytest.raises(ServeHTTPError) as err:
                 greedy.submit(ring_job([2, 2, 2, 2]), wait=0)
             assert err.value.status == 429
             assert "quota" in str(err.value)
             # Another tenant is not affected by greedy's rejection.
             doc = polite.submit(ring_job([3, 3, 3, 3]), wait=0)
-            assert doc["status"] == "queued"
+            assert doc["status"] in ("queued", "running")
             text = ServeClient(srv.url).metrics_text()
             assert metric_total(text, "serve_jobs_rejected",
                                 tenant="greedy") == 1
@@ -225,6 +270,99 @@ class TestDegradation:
             assert slow.wait(jid, timeout=30)["status"] == "done"
 
 
+class TestBusyLaneLiveness:
+    """A lane's outstanding count falls on every way a task ends."""
+
+    def test_worker_death_fails_its_batch_and_frees_the_lane(self):
+        cell = {"op": "campaign_cell", "cell": 0,
+                "campaign": {**SLOW_CAMPAIGN, "fixed": {
+                    **SLOW_CAMPAIGN["fixed"], "niter": 1000}}}
+        srv = ServeServer(workers=1).start_background()
+        try:
+            client = ServeClient(srv.url, tenant="doomed")
+            # One cell runs; three identical ones coalesce behind it.
+            ids = [client.submit(cell, wait=0)["id"] for _ in range(4)]
+            assert client.wait(ids[0], timeout=30)["status"] == "done"
+            deadline = time.monotonic() + 5
+            while client.job(ids[1])["status"] != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            queued = [client.submit(ring_job([i, i, i, i]), wait=0)
+                      for i in (1, 2)]
+            assert [doc["status"] for doc in queued] == ["queued"] * 2
+            srv._pool._procs[0].kill()
+            for jid in ids[1:]:
+                doc = client.wait(jid, timeout=5)
+                assert doc["status"] == "error"
+                assert "worker process died" in doc["error"]
+            # The queued jobs go to the respawned lane; its caches start
+            # empty, so what it answers is what a fresh executor answers.
+            served = [client.wait(doc["id"], timeout=5) for doc in queued]
+            assert [doc["status"] for doc in served] == ["done"] * 2
+            again = client.submit(ring_job([1, 1, 1, 1]), wait=5)["result"]
+            direct = Executor().execute(
+                validate_request(ring_job([1, 1, 1, 1])))
+            assert again["cache"] == "hit"
+            assert {**again, "cache": "miss"} == direct
+            text = client.metrics_text()
+            assert metric_total(text, "serve_jobs_coalesced") == 2
+            assert metric_total(text, "serve_jobs_completed",
+                                status="error") == 3
+            assert client.healthz()["jobs"]["inflight"] == 0
+        finally:
+            srv.stop()
+
+    def test_budget_expiring_in_the_queue_is_504_and_never_shipped(self, server):
+        parker = park_lane_of(server)
+        client = ServeClient(server.url, tenant="hasty")
+        with pytest.raises(ServeHTTPError) as err:
+            client.submit(ring_job([4, 4, 4, 4], timeout=0.05), wait=5)
+        assert err.value.status == 504
+        expired = err.value.payload
+        assert expired["status"] == "timeout"
+        assert client.wait(parker, timeout=30)["status"] == "done"
+        # The drain that follows the parked cell skips the expired job,
+        # and the lane is idle again for the next one.
+        assert client.submit(ring_job([4, 4, 4, 4]), wait=5)["status"] == "done"
+        assert client.job(expired["id"]) == expired
+        text = client.metrics_text()
+        assert metric_total(text, "serve_batches_dispatched") == 2
+        assert client.healthz()["batcher"]["pending"] == 0
+
+    def test_a_trace_that_outlives_its_wait_does_not_wedge_the_lane(self):
+        srv = ServeServer(workers=0, default_wait=0.2).start_background()
+        try:
+            client = ServeClient(srv.url, tenant="tracer")
+            done = client.submit(ring_job([6, 6, 6, 6]), wait=5)
+            assert client.trace(done["id"])["traceEvents"]
+            other = client.submit(ring_job([7, 7, 7, 7]), wait=5)
+            # This trace queues behind the parked cell and is given up on;
+            # its late result must still be counted off the lane.
+            park_lane_of(srv)
+            with pytest.raises(ServeHTTPError) as err:
+                client.trace(other["id"])
+            assert "timed out" in str(err.value)
+            assert client.submit(ring_job([8, 8, 8, 8]),
+                                 wait=10)["status"] == "done"
+            assert not +srv._outstanding
+        finally:
+            srv.stop()
+
+    def test_stop_fails_what_is_running_or_queued(self):
+        srv = ServeServer(workers=0).start_background()
+        parker = park_lane_of(srv)
+        queued = ServeClient(srv.url, tenant="late").submit(
+            ring_job([4, 4, 4, 4]), wait=0)
+        assert queued["status"] == "queued"
+        srv.stop()
+        for jid in (parker, queued["id"]):
+            job = srv.store.get(jid)
+            assert (job.status, job.status_code) == ("error", 503)
+            assert "server stopped" in job.document()
+        assert srv.store.inflight() == 0
+        assert not +srv._outstanding
+
+
 class TestProtocolSurface:
     def test_wait_zero_gives_202_then_poll(self, server):
         client = ServeClient(server.url, tenant="poller")
@@ -266,6 +404,20 @@ class TestProtocolSurface:
                            "cluster": "paper", "mapper": "magic"})
         assert err.value.status == 400
         assert "unknown mapper" in str(err.value)
+
+    def test_hostile_tenant_is_400_and_metrics_still_parse(self, server):
+        # Minimised from ROADMAP 9(4): this tenant used to become a label
+        # value the strict scrape parser rejected.
+        client = ServeClient(server.url, tenant="a}b{")
+        with pytest.raises(ServeHTTPError) as err:
+            client.submit(ring_job([4, 4, 4, 4]))
+        assert err.value.status == 400
+        assert "[A-Za-z0-9_.:@-]" in str(err.value)
+        ServeClient(server.url).timeof(
+            RING, params={"p": 4, "v": [4, 4, 4, 4]}, cluster="paper")
+        text = client.metrics_text()
+        assert "a}b{" not in text
+        assert metric_total(text, "serve_jobs_submitted") == 1
 
     def test_non_json_body_is_400(self, server):
         import urllib.error
