@@ -56,6 +56,13 @@ class Cluster:
         machine pairs derive their link from the pair's deepest common
         ancestor level instead of ``default_protocols``; explicit links
         (the ``links`` mapping and :meth:`set_link`) still take precedence.
+
+    A cluster stays mutable while a run holds it.  :attr:`version` counts
+    the edits that can change a prediction — :meth:`set_topology`,
+    :meth:`set_link`, :meth:`pin_all` and :meth:`unpin_all` — and keys
+    the runtime's selection cache.  Mutating a :class:`Link` object in
+    place (``cluster.link(i, j).pin(...)``) is not a cluster edit and
+    bumps nothing; use :meth:`pin_all` or :meth:`set_link` instead.
     """
 
     def __init__(
@@ -68,6 +75,7 @@ class Cluster:
         topology: "Topology | None" = None,
     ):
         self.single_port = bool(single_port)
+        self._version = 0
         #: Optional transient link-fault schedule (drop/delay of individual
         #: messages); attach via :func:`repro.cluster.faults.attach_transient_faults`.
         self.transient_faults = None
@@ -111,11 +119,15 @@ class Cluster:
         the tree's leaves don't match the cluster machines exactly.
         """
         self._topo_links.clear()
-        if topology is None:
-            self.topology = None
-            return
-        topology.bind(self)
+        if topology is not None:
+            topology.bind(self)
         self.topology = topology
+        self._version += 1
+
+    @property
+    def version(self) -> int:
+        """Count of cluster edits; never serialised, never in a digest."""
+        return self._version
 
     def machine_distance(self, src: int, dst: int) -> int:
         """Tree distance between two machines (flat mesh: 0 or 1)."""
@@ -196,6 +208,7 @@ class Cluster:
         self._links[(src, dst)] = link
         if symmetric:
             self._links[(dst, src)] = link
+        self._version += 1
 
     def all_links(self) -> Iterable[tuple[int, int, Link]]:
         """Iterate over every configured (non-default) directed link."""
@@ -216,10 +229,13 @@ class Cluster:
         built with a uniform protocol set.
         """
         n = self.size
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    self.link(i, j).pin(protocol_name)
+        try:
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        self.link(i, j).pin(protocol_name)
+        finally:  # a raise mid-loop has already pinned some links
+            self._version += 1
 
     def unpin_all(self) -> None:
         """Re-enable fastest-protocol selection on every link."""
@@ -227,6 +243,7 @@ class Cluster:
             link.unpin()
         for link in self._topo_links.values():
             link.unpin()
+        self._version += 1
 
     def __repr__(self) -> str:
         speeds = ", ".join(f"{m.name}:{m.speed:g}" for m in self.machines)

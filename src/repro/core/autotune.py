@@ -70,7 +70,7 @@ def tune_group_size(
             raise MappingError(
                 f"model family returned nproc={model.nproc} for p={p}"
             )
-        mapping = hmpi._select(model, mapper)
+        mapping = hmpi.state.select(model, mapper)
         predictions[p] = mapping.time
         if best is None or mapping.time < best[2].time:
             best = (p, model, mapping)

@@ -4,9 +4,9 @@
 params), so the simulator can be *served*: tenants POST PMDL source +
 cluster JSON to ``/v1/jobs`` and get back predictions, selected groups,
 diagnostic reports, campaign cells, and Chrome traces — with identical
-requests coalesced into one evaluation and results cached by
-(model digest, cluster digest, shape digest, speed epoch) across
-tenants.  See ``docs/SERVING.md`` for the API reference and semantics.
+requests coalesced into one evaluation and results cached across
+tenants in the runtime's selection cache, one per cluster digest.  See
+``docs/SERVING.md`` for the API reference and semantics.
 
 Quick start::
 

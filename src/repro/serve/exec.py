@@ -7,19 +7,15 @@ processes, *and the differential tests* all call the same
 result is bitwise-identical to the direct in-process API — there is one
 code path, not two kept in sync.
 
-State an executor accumulates is pure cache, keyed by digests:
+State an executor accumulates is pure cache:
 
 - compiled models via :func:`repro.perfmodel.compile_source_cached`
-  (compile-by-digest memoisation);
-- one :class:`WorldContext` per cluster digest — the ``NetworkModel``
-  and a speed-epoch-keyed selection cache shared across tenants;
+  (compile-by-digest memoisation), bound once per (model digest,
+  algorithm, params);
+- one :class:`WorldContext` per cluster digest, whose
+  :class:`~repro.core.runtime.HMPIRuntimeState` selects and caches
+  exactly as ``HMPI_Timeof`` / ``HMPI_Group_create`` do inside a run;
 - lowered communication nets per model digest (trace export).
-
-Selection replicates :meth:`repro.core.runtime.HMPIRuntimeState.select`
-exactly — same candidate order (all world ranks), same host pin
-(``{model.parent_index(): HOST_RANK}``), same mapper resolution and
-keyword threading — so the cached mapping equals what ``HMPI_Timeof`` /
-``HMPI_Group_create`` compute inside a run.
 """
 
 from __future__ import annotations
@@ -28,10 +24,8 @@ import json
 from collections import OrderedDict
 from typing import Any
 
-from ..core.mapper import resolve_mapper
 from ..core.netmodel import NetworkModel
-from ..core.runtime import HOST_RANK
-from ..core.seleng import SelectionStats
+from ..core.runtime import HMPIRuntimeState
 from ..perfmodel import stub_externals
 from ..util.errors import OptionError, PMDLError, ReproError
 from .protocol import PROTOCOL_VERSION, BadRequest, JobRequest
@@ -41,21 +35,17 @@ __all__ = ["Executor", "WorldContext", "stub_externals"]
 class WorldContext:
     """Everything the server knows about one cluster digest.
 
-    The selection cache is shared across tenants and keyed by
-    ``(model digest, shape digest, speed epoch)`` — the served analogue
-    of the runtime's per-run cache, with digests standing in for object
-    identity so it survives across requests and processes agree on keys.
+    ``state`` is a runtime over every rank of the cluster; its selection
+    cache, shared across tenants, is the served cache.  Its key holds the
+    bound model's identity, and :meth:`Executor.model_for` hands back one
+    bound object per (model digest, algorithm, params).
     """
-
-    CACHE_SIZE = 256
 
     def __init__(self, digest: str, cluster: Any):
         self.digest = digest
         self.cluster = cluster
-        self.netmodel = NetworkModel(cluster, list(range(cluster.size)))
-        self.cache: OrderedDict[tuple, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self.state = HMPIRuntimeState(
+            NetworkModel(cluster, list(range(cluster.size))))
 
     def apply_speeds(self, speeds: list[float] | None) -> None:
         """Install request speed estimates (a served ``HMPI_Recon``).
@@ -70,32 +60,10 @@ class WorldContext:
             raise BadRequest(
                 f"'speeds' needs one entry per machine "
                 f"({self.cluster.size}), got {len(speeds)}")
+        netmodel = self.state.netmodel
         for i, s in enumerate(speeds):
-            if self.netmodel.speed_of_machine(i) != s:
-                self.netmodel.update_speed(i, s)
-
-    def select(self, model: Any, req: JobRequest,
-               stats: SelectionStats) -> tuple[Any, str]:
-        """The runtime's selection, cached by digest; returns (mapping, how)."""
-        self.apply_speeds(req.speeds)
-        key = (req.model_digest, req.shape_digest, self.netmodel.speed_epoch)
-        mapping = self.cache.get(key)
-        if mapping is not None:
-            self.cache.move_to_end(key)
-            self.hits += 1
-            stats.cache_hits += 1
-            return mapping, "hit"
-        self.misses += 1
-        stats.cache_misses += 1
-        mapper = resolve_mapper(req.mapper)
-        candidates = list(range(self.netmodel.nprocs))
-        fixed = {model.parent_index(): HOST_RANK}
-        mapping = mapper.select(model, self.netmodel, candidates, fixed,
-                                stats=stats)
-        self.cache[key] = mapping
-        while len(self.cache) > self.CACHE_SIZE:
-            self.cache.popitem(last=False)
-        return mapping, "miss"
+            if netmodel.speed_of_machine(i) != s:
+                netmodel.update_speed(i, s)
 
 
 class Executor:
@@ -105,10 +73,8 @@ class Executor:
 
     def __init__(self) -> None:
         self.worlds: OrderedDict[str, WorldContext] = OrderedDict()
-        self.stats = SelectionStats()
         self._models: dict[tuple, Any] = {}
         self._nets: dict[str, Any] = {}
-        self.jobs_executed = 0
 
     # -- building blocks ----------------------------------------------
     def world(self, req: JobRequest) -> WorldContext:
@@ -172,7 +138,6 @@ class Executor:
     # -- operations ----------------------------------------------------
     def execute(self, req: JobRequest) -> dict[str, Any]:
         """Run one job; returns its JSON-safe result dict."""
-        self.jobs_executed += 1
         if req.op == "timeof" or req.op == "group_create":
             return self._execute_selection(req)
         if req.op == "check":
@@ -184,8 +149,10 @@ class Executor:
     def _execute_selection(self, req: JobRequest) -> dict[str, Any]:
         model = self.model_for(req)
         ctx = self.world(req)
+        info: dict[str, Any] = {}
         try:
-            mapping, how = ctx.select(model, req, self.stats)
+            ctx.apply_speeds(req.speeds)
+            mapping = ctx.state.select(model, req.mapper, info=info)
         except (OptionError, ReproError) as exc:
             raise BadRequest(f"selection failed: {exc}") from exc
         result: dict[str, Any] = {
@@ -193,8 +160,8 @@ class Executor:
             "protocol": PROTOCOL_VERSION,
             "model_digest": req.model_digest,
             "cluster_digest": req.world_digest,
-            "cache": how,
-            "speed_epoch": ctx.netmodel.speed_epoch,
+            "cache": info["cache"],
+            "speed_epoch": ctx.state.netmodel.speed_epoch,
             "mapping": {
                 "processes": list(mapping.processes),
                 "machines": list(mapping.machines),
@@ -270,7 +237,8 @@ class Executor:
                 "traces exist for timeof and group_create jobs")
         model = self.model_for(req)
         ctx = self.world(req)
-        mapping, _ = ctx.select(model, req, self.stats)
+        ctx.apply_speeds(req.speeds)
+        mapping = ctx.state.select(model, req.mapper)
         assert req.model_digest is not None
         net = self._nets.get(req.model_digest)
         if net is None:
@@ -282,25 +250,10 @@ class Executor:
             while len(self._nets) > 64:
                 self._nets.pop(next(iter(self._nets)))
         return net_chrome_trace(
-            model, ctx.netmodel, list(mapping.machines), net=net,
+            model, ctx.state.netmodel, list(mapping.machines), net=net,
             metadata={
                 "model_digest": req.model_digest,
                 "cluster_digest": req.world_digest,
                 "predicted_time": mapping.time,
             },
         )
-
-    # -- introspection -------------------------------------------------
-    def stats_dict(self) -> dict[str, Any]:
-        from ..perfmodel import compile_cache_stats
-
-        return {
-            "jobs_executed": self.jobs_executed,
-            "worlds": len(self.worlds),
-            "selection": self.stats.as_dict(),
-            "selection_cache": {
-                "hits": sum(w.hits for w in self.worlds.values()),
-                "misses": sum(w.misses for w in self.worlds.values()),
-            },
-            "compile_cache": compile_cache_stats(),
-        }

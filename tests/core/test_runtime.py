@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cluster import StepLoad, paper_network, uniform_network
+from repro.apps.jacobi import bind_jacobi_model
+from repro.cluster import (
+    StepLoad,
+    paper_network,
+    two_site_network,
+    uniform_network,
+)
 from repro.core.mapper import ExhaustiveMapper
 from repro.core.runtime import run_hmpi
 from repro.perfmodel.builder import MatrixModel
@@ -95,6 +101,26 @@ class TestTimeof:
             return True
 
         run_hmpi(app, small_cluster)
+
+    def test_warm_model_reprices_after_topology_edit(self):
+        """Clearing the topology mid-run re-prices a warm model: it then
+        answers exactly what a freshly bound equal model answers."""
+        cluster = two_site_network()
+
+        def app(hmpi):
+            if not hmpi.is_host():
+                return None
+            model = bind_jacobi_model(6, 2, 60, [10] * 6)
+            before = hmpi.timeof(model, iterations=100)
+            cluster.set_topology(None)
+            warm = hmpi.timeof(model, iterations=100)
+            fresh = hmpi.timeof(bind_jacobi_model(6, 2, 60, [10] * 6),
+                                iterations=100)
+            return before, warm, fresh
+
+        before, warm, fresh = run_hmpi(app, cluster).results[0]
+        assert fresh != before
+        assert warm == fresh
 
 
 class TestGroupLifecycle:

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import homogeneous_network, paper_network
+from repro.cluster import (
+    homogeneous_network,
+    multiprotocol_network,
+    paper_network,
+    two_site_network,
+)
+from repro.cluster.link import WAN_10MBIT, Link
 from repro.core.estimator import estimate_time
 from repro.core.mapper import ExhaustiveMapper, GreedyMapper
 from repro.core.netmodel import NetworkModel
@@ -102,14 +108,40 @@ class TestSelectionCache:
             estimate_time(model, state.netmodel, after.machines)
         )
 
-    def test_explicit_invalidation(self):
-        state = make_state()
-        model = make_model()
-        state.select(model)
-        state.invalidate_selections()
-        state.select(model)
-        assert state.selection_stats.cache_hits == 0
-        assert state.selection_stats.cache_misses == 2
+    @staticmethod
+    def assert_edit_reprices(cluster, model, edit):
+        """Warm, edit the cluster, then the next select must miss and
+        answer exactly what a cold runtime over the edited cluster does."""
+        state = make_state(cluster)
+        warm = state.select(model)
+        edit(cluster, warm)
+        info = {}
+        after = state.select(model, info=info)
+        fresh = make_state(cluster).select(model)
+        assert fresh != warm  # the edit changes the answer
+        assert info["cache"] == "miss"
+        assert after == fresh  # bitwise: processes, machines and time
+
+    def test_set_topology_reprices(self):
+        self.assert_edit_reprices(two_site_network(), make_model(),
+                                  lambda c, _: c.set_topology(None))
+
+    def test_set_link_reprices(self):
+        self.assert_edit_reprices(
+            paper_network(), make_model(),
+            lambda c, warm: c.set_link(warm.machines[0], warm.machines[1],
+                                       Link.single(WAN_10MBIT)))
+
+    def test_pin_all_reprices(self):
+        self.assert_edit_reprices(multiprotocol_network(),
+                                  make_model(scale=1e-3),
+                                  lambda c, _: c.pin_all("tcp-100mbit"))
+
+    def test_unpin_all_reprices(self):
+        cluster = multiprotocol_network()
+        cluster.pin_all("tcp-100mbit")
+        self.assert_edit_reprices(cluster, make_model(scale=1e-3),
+                                  lambda c, _: c.unpin_all())
 
     def test_string_spec_shares_cache_entry(self):
         """Registry strings resolve to a stable identity, so they cache."""
