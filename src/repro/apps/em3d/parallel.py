@@ -75,18 +75,21 @@ def em3d_algorithm(
     if comm.size != p:
         raise ReproError(f"communicator size {comm.size} != sub-body count {p}")
     body = _copy_body(problem.bodies[me])
-    dep_e = problem.dep_e
-    dep_h = problem.dep_h
+    # The exchange pattern is fixed by the dependency matrices: who needs
+    # how many of my values (sends), and whose values I need (receives).
+    dep_e, dep_h = problem.dep_e.tolist(), problem.dep_h.tolist()
+    others = [i for i in range(p) if i != me]
+    e_sends = [(i, dep_e[i][me]) for i in others if dep_e[i][me] > 0]
+    e_srcs = [j for j in others if dep_e[me][j] > 0]
+    h_sends = [(i, dep_h[i][me]) for i in others if dep_h[i][me] > 0]
+    h_srcs = [j for j in others if dep_h[me][j] > 0]
 
     for it in range(niter):
         # --- E phase: gather remote H boundary values -------------------
-        for i in range(p):
-            if i != me and dep_e[i, me] > 0:
-                comm.send(body.h_values[: dep_e[i, me]].copy(), i, tag=2 * it)
-        h_remote: list[np.ndarray] = []
-        for j in range(p):
-            if j != me and dep_e[me, j] > 0:
-                h_remote.append(comm.recv(j, tag=2 * it))
+        # (a send snapshots its buffer, so slices need no copy)
+        for i, count in e_sends:
+            comm.send(body.h_values[:count], i, tag=2 * it)
+        h_remote = [comm.recv(j, tag=2 * it) for j in e_srcs]
         e_boundary = float(np.concatenate(h_remote).mean()) if h_remote else 0.0
         body.e_values = update_field(
             body.e_values, body.e_weights, body.h_values, e_boundary
@@ -94,13 +97,9 @@ def em3d_algorithm(
         compute(body.n_e / k)
 
         # --- H phase: gather remote E boundary values -------------------
-        for i in range(p):
-            if i != me and dep_h[i, me] > 0:
-                comm.send(body.e_values[: dep_h[i, me]].copy(), i, tag=2 * it + 1)
-        e_remote: list[np.ndarray] = []
-        for j in range(p):
-            if j != me and dep_h[me, j] > 0:
-                e_remote.append(comm.recv(j, tag=2 * it + 1))
+        for i, count in h_sends:
+            comm.send(body.e_values[:count], i, tag=2 * it + 1)
+        e_remote = [comm.recv(j, tag=2 * it + 1) for j in h_srcs]
         h_boundary = float(np.concatenate(e_remote).mean()) if e_remote else 0.0
         body.h_values = update_field(
             body.h_values, body.h_weights, body.e_values, h_boundary

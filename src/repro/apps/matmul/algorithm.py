@@ -16,6 +16,13 @@ Messages are batched per (sender, receiver) pair and step, matching how a
 real implementation would aggregate, and the byte volumes equal the
 performance model's ``link`` declaration by construction.
 
+A processor's blocks are exactly ``my_rows × my_cols``, so its A, B and C
+are each held as one ``(rows, cols, r, r)`` array and step 3 is a single
+batched ``C += a_k[:, None] @ b_k[None, :]`` over the pivot stacks —
+bitwise the same sums as one ``@`` per block.  Who sends which pivot rows
+to whom does not depend on the step, so that routing is computed once
+per run.
+
 The same function runs both the homogeneous MPI baseline and the
 heterogeneous HMPI version — only the :class:`BlockDistribution` differs.
 """
@@ -67,25 +74,57 @@ def matmul_algorithm(
 
     ``comm`` must have exactly ``m*m`` ranks, rank order row-major over the
     grid.  ``compute`` charges modelled computation (one unit per block
-    update).
+    update).  The returned blocks are views into one C array, keyed in
+    :meth:`BlockDistribution.blocks_of` order.
     """
     m = dist.m
     if comm.size != m * m:
         raise ReproError(f"communicator size {comm.size} != grid size {m * m}")
     me = comm.rank
     I, J = divmod(me, m)
-    n, l, ng = dist.n, dist.l, dist.ng
+    n, l = dist.n, dist.l
     h4 = dist.h4()
+    row_of = dist._row_of().tolist()   # [gi][J]: row slice of in-gblock row gi
+    col_of = dist._column_of().tolist()
 
-    my_blocks = dist.blocks_of(me)
-    my_rows = sorted({bi for bi, _ in my_blocks})   # global block rows I own
-    my_cols = sorted({bj for _, bj in my_blocks})   # global block cols I own
-    A = {(bi, bj): matrix_block(seed, 0, bi, bj, r) for bi, bj in my_blocks}
-    B = {(bi, bj): matrix_block(seed, 1, bi, bj, r) for bi, bj in my_blocks}
-    C = {(bi, bj): np.zeros((r, r)) for bi, bj in my_blocks}
+    # My blocks are my_rows × my_cols, row-major.
+    my_rows, my_cols = dist.rows_and_cols(me)
+    row_pos = {i: x for x, i in enumerate(my_rows)}
+    col_pos = {j: y for y, j in enumerate(my_cols)}
+    shape = (len(my_rows), len(my_cols), r, r)
+    A = np.empty(shape)
+    B = np.empty(shape)
+    for x, bi in enumerate(my_rows):
+        for y, bj in enumerate(my_cols):
+            A[x, y] = matrix_block(seed, 0, bi, bj, r)
+            B[x, y] = matrix_block(seed, 1, bi, bj, r)
+    C = np.zeros(shape)
 
-    row_of = dist._row_of()   # (l, m): row slice of in-gblock row, per column
-    col_of = dist._column_of()
+    # ---- step-invariant routing -----------------------------------------
+    b_root = [row_of[g][J] for g in range(l)]   # B owner's grid row, per gk
+    column_peers = [K * m + J for K in range(m) if K != I]
+    # As owner of the A pivot column: every overlapping rectangle gets
+    # (rows it needs, their positions in my stack).
+    a_sends = []
+    for L in range(m):
+        if L == J:
+            continue
+        for K in range(m):
+            if h4[I, J, K, L] > 0:
+                rows_needed = [i for i in my_rows if row_of[i % l][L] == K]
+                a_sends.append((K * m + L, rows_needed,
+                                np.array([row_pos[i] for i in rows_needed],
+                                         dtype=np.intp)))
+    # As receiver, per pivot column Jk: (source, positions its rows fill).
+    a_recvs = {
+        Jk: [(K * m + Jk,
+              np.array([x for x, i in enumerate(my_rows)
+                        if row_of[i % l][Jk] == K], dtype=np.intp))
+             for K in range(m) if h4[K, Jk, I, J] > 0]
+        for Jk in range(m) if Jk != J
+    }
+    a_buf = np.empty((len(my_rows), r, r))
+    volume = float(len(my_rows) * len(my_cols))
 
     for k in range(n):
         gk = k % l
@@ -93,53 +132,30 @@ def matmul_algorithm(
         tag_a = 2 * k + 1
 
         # ---- B pivot row, vertical within each column -------------------
-        b_root = int(row_of[gk, J])   # grid row of the owner in my column
-        b_pool: dict[int, np.ndarray] = {}
-        if b_root == I:
+        if b_root[gk] == I:
             # I own b_(k, j) for my columns; broadcast down my grid column.
-            payload = np.stack([B[(k, j)] for j in my_cols]) if my_cols else np.empty((0, r, r))
-            for K in range(m):
-                if K != I:
-                    comm.send(payload, K * m + J, tag=tag_b)
-            for idx, j in enumerate(my_cols):
-                b_pool[j] = payload[idx]
+            b_k = B[row_pos[k]]
+            for dest in column_peers:
+                comm.send(b_k, dest, tag=tag_b)
         else:
-            received = comm.recv(b_root * m + J, tag=tag_b)
-            for idx, j in enumerate(my_cols):
-                b_pool[j] = received[idx]
+            b_k = comm.recv(b_root[gk] * m + J, tag=tag_b)
 
         # ---- A pivot column, horizontal across columns ------------------
-        Jk = int(col_of[gk])          # grid column owning the pivot column
-        a_pool: dict[int, np.ndarray] = {}
+        Jk = col_of[gk]               # grid column owning the pivot column
         if J == Jk:
             # I own a_(i, k) for my rows; serve every overlapping rectangle.
-            for i in my_rows:
-                a_pool[i] = A[(i, k)]
-            for L in range(m):
-                if L == Jk:
-                    continue
-                for K in range(m):
-                    if h4[I, Jk, K, L] <= 0:
-                        continue
-                    rows_needed = [
-                        i for i in my_rows if int(row_of[i % l, L]) == K
-                    ]
-                    payload = (
-                        np.stack([A[(i, k)] for i in rows_needed])
-                        if rows_needed else np.empty((0, r, r))
-                    )
-                    comm.send((rows_needed, payload), K * m + L, tag=tag_a)
+            a_k = A[:, col_pos[k]]
+            for dest, rows_needed, idx in a_sends:
+                comm.send((rows_needed, a_k[idx]), dest, tag=tag_a)
         else:
-            for K in range(m):
-                if h4[K, Jk, I, J] <= 0:
-                    continue
-                rows_in, payload = comm.recv(K * m + Jk, tag=tag_a)
-                for idx, i in enumerate(rows_in):
-                    a_pool[i] = payload[idx]
+            a_k = a_buf
+            for src, idx in a_recvs[Jk]:
+                _, payload = comm.recv(src, tag=tag_a)
+                a_k[idx] = payload
 
-        # ---- update every owned C block ---------------------------------
-        for (bi, bj) in my_blocks:
-            C[(bi, bj)] += a_pool[bi] @ b_pool[bj]
-        compute(float(len(my_blocks)))
+        # ---- update every owned C block at once --------------------------
+        C += np.matmul(a_k[:, None], b_k[None, :])
+        compute(volume)
 
-    return C
+    return {(bi, bj): C[x, y]
+            for x, bi in enumerate(my_rows) for y, bj in enumerate(my_cols)}

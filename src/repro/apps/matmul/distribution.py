@@ -212,21 +212,22 @@ class BlockDistribution:
         I, J = self.owner(block_row, block_col)
         return I * self.m + J
 
+    def rows_and_cols(self, grid_rank: int) -> tuple[list[int], list[int]]:
+        """Global block rows and columns of a grid rank, ascending.
+
+        The rank owns exactly their product (see :meth:`blocks_of`).
+        """
+        I, J = divmod(grid_rank, self.m)
+        l, ng = self.l, self.ng
+        rows = [bi * l + gi for bi in range(ng)
+                for gi in self.rows_owned_in_column(I, J)]
+        cols = [bj * l + gj for bj in range(ng) for gj in self.cols_owned(J)]
+        return rows, cols
+
     def blocks_of(self, grid_rank: int) -> list[tuple[int, int]]:
         """All (row, col) blocks owned by a grid rank, row-major order."""
-        I, J = divmod(grid_rank, self.m)
-        col_of = self._column_of()
-        row_of = self._row_of()
-        rows = [gi for gi in range(self.l) if row_of[gi, J] == I]
-        cols = [gj for gj in range(self.l) if col_of[gj] == J]
-        ng = self.ng
-        out = []
-        for bi in range(ng):
-            for gi in rows:
-                for bj in range(ng):
-                    for gj in cols:
-                        out.append((bi * self.l + gi, bj * self.l + gj))
-        return out
+        rows, cols = self.rows_and_cols(grid_rank)
+        return [(i, j) for i in rows for j in cols]
 
     def rows_owned_in_column(self, I: int, J: int) -> list[int]:
         """In-gblock row indices of processor (I, J)'s rectangle."""

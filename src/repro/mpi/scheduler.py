@@ -18,7 +18,10 @@ their condition true.  Two implementations share that contract:
     time — the least-virtual-time ready rank always runs next.  Blocking,
     wake-ups, timeouts and faults become heap events; there is no lock
     contention and no reliance on OS preemption, so runs are deterministic
-    and orders of magnitude faster at scale.
+    and orders of magnitude faster at scale.  A handoff costs one plain
+    lock release and one acquire: each parked rank waits on its own
+    ``threading.Lock``, created held, which the rank passing the baton
+    releases.
 
 Backend selection is uniform across entry points: ``engine="threads" |
 "events"`` on :class:`~repro.mpi.engine.Engine`, ``run_mpi``,
@@ -318,11 +321,17 @@ class EventScheduler(Scheduler):
     fire at the same points as under the thread backend, without any
     per-block global scans.
 
-    Handoff protocol: the running thread picks the next ready rank, sets
-    that rank's resume event, fully releases the engine lock and waits on
-    its own resume event.  Events (not condition variables) carry the
-    baton, so a wake posted before the park is never lost; ``seq`` breaks
-    virtual-time ties FIFO, keeping runs deterministic.
+    Handoff protocol: every rank owns a resume lock, created held.  The
+    running thread picks the next ready rank, releases that rank's resume
+    lock, fully releases the engine lock and acquires its own resume lock.
+    A lock (unlike a condition variable) remembers a release made before
+    anyone waits on it: if the baton comes back to a rank before its
+    thread reaches ``acquire()``, the acquire simply succeeds at once, so
+    a wake posted before the park is never lost.  Each rank's lock is
+    released at most once per park — a second release while it is still
+    unlocked would raise, which turns a double dispatch into an error
+    instead of a silent extra wake.  ``seq`` breaks virtual-time ties
+    FIFO, keeping runs deterministic.
     """
 
     name = "events"
@@ -338,7 +347,9 @@ class EventScheduler(Scheduler):
         self.profile = SchedulerProfile(self.name)
         n = engine.nprocs
         self._state = [self._PARKED] * n
-        self._resume = [threading.Event() for _ in range(n)]
+        self._resume = [threading.Lock() for _ in range(n)]
+        for lock in self._resume:
+            lock.acquire()   # created held: a rank parks until dispatched
         self._heap: list[tuple[float, int, int]] = []
         self._seq = 0
         self._nfinished = 0
@@ -356,7 +367,21 @@ class EventScheduler(Scheduler):
     def _dispatch(self, rank: int) -> None:
         self.profile.task_switches += 1
         self._state[rank] = self._RUNNING
-        self._resume[rank].set()
+        self._resume[rank].release()
+
+    def _hand_off(self, rank: int, nxt: int) -> None:
+        """Dispatch ``nxt`` and park ``rank`` until the baton returns.
+
+        The (possibly re-entered) engine lock is fully released across
+        the park, exactly like ``Condition.wait`` does.
+        """
+        self._dispatch(nxt)
+        lock = self.engine.lock
+        saved = lock._release_save()
+        try:
+            self._resume[rank].acquire()
+        finally:
+            lock._acquire_restore(saved)
 
     def _next_ready(self) -> int | None:
         """Pop the next runnable rank, resolving stalls at idle.
@@ -429,15 +454,7 @@ class EventScheduler(Scheduler):
             # wake exception for it): keep the baton and re-check.
             self._state[rank] = self._RUNNING
             return
-        self._dispatch(nxt)
-        # Hand the baton over: fully release the (possibly re-entered)
-        # engine lock across the park, exactly like Condition.wait does.
-        saved = self.engine.lock._release_save()
-        try:
-            self._resume[rank].wait()
-        finally:
-            self.engine.lock._acquire_restore(saved)
-        self._resume[rank].clear()
+        self._hand_off(rank, nxt)
 
     def wake(self, proc: "ProcessState", at: float | None = None) -> None:
         if not self._running:
@@ -461,8 +478,7 @@ class EventScheduler(Scheduler):
     def yield_now(self, proc: "ProcessState") -> None:
         if not self._running or proc.finished:
             return
-        engine = self.engine
-        with engine.lock:
+        with self.engine.lock:
             rank = proc.rank
             if self._state[rank] != self._RUNNING:
                 return
@@ -472,13 +488,7 @@ class EventScheduler(Scheduler):
             if nxt is None or nxt == rank:
                 self._state[rank] = self._RUNNING
                 return
-            self._dispatch(nxt)
-            saved = engine.lock._release_save()
-            try:
-                self._resume[rank].wait()
-            finally:
-                engine.lock._acquire_restore(saved)
-            self._resume[rank].clear()
+            self._hand_off(rank, nxt)
 
     def ready_before(self, proc: "ProcessState", key: float) -> bool:
         if not self._running:
@@ -508,13 +518,7 @@ class EventScheduler(Scheduler):
         if nxt == rank:
             self._state[rank] = self._RUNNING
             return
-        self._dispatch(nxt)
-        saved = self.engine.lock._release_save()
-        try:
-            self._resume[rank].wait()
-        finally:
-            self.engine.lock._acquire_restore(saved)
-        self._resume[rank].clear()
+        self._hand_off(rank, nxt)
 
     def on_finish(self, proc: "ProcessState") -> None:
         if not self._running:
@@ -541,8 +545,7 @@ class EventScheduler(Scheduler):
             self._dispatch(nxt)
 
     def _task_body(self, rank: int, runner: Callable[[int], None]) -> None:
-        self._resume[rank].wait()
-        self._resume[rank].clear()
+        self._resume[rank].acquire()
         runner(rank)
 
     def run_all(self, runner: Callable[[int], None],
