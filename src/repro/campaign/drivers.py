@@ -7,7 +7,7 @@ library's public entry points, and returns a flat dict of deterministic
 metrics (virtual times, counts, selections — never wall-clock), so
 result rows are bitwise reproducible from the config and seed.
 
-Five drivers ship:
+Six drivers ship:
 
 ``timeof_em3d``
     Selection-only: runs each mapper on the paper's EM3D instance and
@@ -29,11 +29,18 @@ Five drivers ship:
     chunk boundary, picking up churn and load changes).
 
 ``em3d_recon``
-    End-to-end recon ablation: runs the same EM3D instance as the MPI
-    baseline and as HMPI with ``recon`` on or off (the natural axis)
-    under per-machine external load.  Both variants of a cell
-    see the *identical* scenario: the per-run rng contributes one
-    scenario seed, re-expanded per variant.
+    End-to-end EM3D, MPI baseline against HMPI on the same instance.
+    It serves two campaigns: the paper's Figure 9 (sweep
+    ``total_nodes`` and ``procs_per_machine``) and the recon ablation
+    (``recon`` on or off under per-machine external load).  Both
+    variants of a cell see the *identical* scenario: the per-run rng
+    contributes one scenario seed, re-expanded per variant.
+
+``matmul_run``
+    End-to-end matrix multiplication, the homogeneous MPI baseline
+    against HMPI on the same scenario (re-expanded as for
+    ``em3d_recon``): the paper's Figures 10 (sweep ``l``) and 11 (sweep
+    ``n``).
 
 ``groupsize_amdahl``
     Automatic group sizing on an Amdahl-style workload (divisible work
@@ -45,6 +52,7 @@ Five drivers ship:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -59,6 +67,7 @@ from ..apps.em3d import (
 from ..apps.jacobi import jacobi_reference, run_jacobi_ft
 from ..apps.jacobi.model import bind_jacobi_model
 from ..apps.jacobi.solver import partition_rows
+from ..apps.matmul import run_matmul_hmpi, run_matmul_mpi
 from ..core.autotune import auto_create, tune_group_size
 from ..core.mapper import resolve_mapper
 from ..core.netmodel import NetworkModel
@@ -323,21 +332,16 @@ def _iterative(params: dict, rng: np.random.Generator) -> dict:
 
 
 # ----------------------------------------------------------------------
-# em3d_recon — end-to-end recon ablation
+# em3d_recon — EM3D, MPI vs HMPI (Figure 9, recon ablation)
 # ----------------------------------------------------------------------
 
-def _em3d_recon(params: dict, rng: np.random.Generator) -> dict:
-    problem = generate_problem(
-        p=int(params["p"]),
-        total_nodes=int(params["total_nodes"]),
-        seed=int(params["problem_seed"]),
-        boundary_fraction=float(params["boundary_fraction"]),
-    )
-    niter = int(params["niter"])
-    k = int(params["k"])
-    # One scenario seed per cell, re-expanded for each variant: the MPI
-    # baseline and the HMPI run face bit-identical load models even when
-    # the load spec is stochastic.
+def _world_factory(params: dict, rng: np.random.Generator):
+    """A ``world()`` that builds the cell's scenario afresh on each call.
+
+    One scenario seed per cell, re-expanded for each variant: the MPI
+    baseline and the HMPI run face bit-identical load models even when
+    the load spec is stochastic.
+    """
     scenario_seed = int(rng.integers(0, 2**63 - 1))
 
     def world():
@@ -349,6 +353,19 @@ def _em3d_recon(params: dict, rng: np.random.Generator) -> dict:
         )
         return cluster
 
+    return world
+
+
+def _em3d_recon(params: dict, rng: np.random.Generator) -> dict:
+    problem = generate_problem(
+        p=int(params["p"]),
+        total_nodes=int(params["total_nodes"]),
+        seed=int(params["problem_seed"]),
+        boundary_fraction=float(params["boundary_fraction"]),
+    )
+    niter = int(params["niter"])
+    k = int(params["k"])
+    world = _world_factory(params, rng)
     mpi = run_em3d_mpi(world(), problem, niter=niter, k=k,
                        timeout=params["timeout"], engine=params["engine"])
     hmpi = run_em3d_hmpi(
@@ -364,6 +381,32 @@ def _em3d_recon(params: dict, rng: np.random.Generator) -> dict:
         "speedup": float(mpi.algorithm_time / hmpi.algorithm_time),
         "checksum_ok": bool(mpi.checksum == hmpi.checksum),
         "group_machines": [int(m) for m in hmpi.group_machines],
+    }
+
+
+# ----------------------------------------------------------------------
+# matmul_run — matrix multiplication, MPI vs HMPI
+# ----------------------------------------------------------------------
+
+def _matmul_run(params: dict, rng: np.random.Generator) -> dict:
+    shape = {"n": int(params["n"]), "r": int(params["r"]),
+             "m": int(params["m"]), "seed": int(params["seed"])}
+    l = None if params["l"] is None else int(params["l"])
+    world = _world_factory(params, rng)
+    mpi = run_matmul_mpi(world(), **shape, timeout=params["timeout"],
+                         engine=params["engine"])
+    hmpi = run_matmul_hmpi(world(), **shape, l=l, mapper=params["mapper"],
+                           timeout=params["timeout"],
+                           engine=params["engine"])
+    return {
+        "mpi_time": float(mpi.algorithm_time),
+        "hmpi_time": float(hmpi.algorithm_time),
+        "predicted_time": float(hmpi.predicted_time),
+        "speedup": float(mpi.algorithm_time / hmpi.algorithm_time),
+        "checksum_ok": math.isclose(hmpi.checksum, mpi.checksum,
+                                    rel_tol=1e-9),
+        # one process per machine: world ranks are machine indices
+        "group_machines": [int(r) for r in hmpi.group_world_ranks],
     }
 
 
@@ -531,6 +574,16 @@ DRIVERS: dict[str, Driver] = {
             "p": 9, "total_nodes": 18_000, "problem_seed": 8,
             "boundary_fraction": 0.3, "k": 100, "niter": 6,
             "recon": True, "procs_per_machine": 2, "mapper": None,
+        },
+    ),
+    "matmul_run": Driver(
+        name="matmul_run",
+        fn=_matmul_run,
+        params=("cluster", "n", "r", "m", "l", "seed", "mapper", "timeout",
+                "engine", "deaths", "transient", "loads"),
+        defaults={
+            **_SCENARIO_DEFAULTS, **_EXEC_DEFAULTS,
+            "n": 9, "r": 9, "m": 3, "l": None, "seed": 0, "mapper": None,
         },
     ),
 }

@@ -2,9 +2,6 @@
 
 Commands
 --------
-``fig09`` / ``fig10`` / ``fig11``
-    Regenerate a paper figure's series and print the table (smaller
-    default sweeps than the pytest benchmarks; flags adjust sizes).
 ``compile FILE``
     Compile a PMDL model file (static analysis included), print the
     canonical source, and — when ``--bind`` supplies parameter values —
@@ -39,7 +36,8 @@ Commands
     runs of a config, or the driver catalogue without one.  ``run
     --live`` streams done/total + ETA status lines and ``--telemetry``
     appends the event stream as JSONL — both side channels, the results
-    files stay byte-identical.
+    files stay byte-identical.  The paper's Figures 9–11 are campaigns:
+    ``campaign run examples/campaigns/fig09.json`` (``fig10``, ``fig11``).
 ``monitor CONFIG``
     Run a campaign behind a live HTTP endpoint (``/metrics`` in
     OpenMetrics text, ``/snapshot``, ``/events``, ``/healthz``); see
@@ -56,76 +54,13 @@ import argparse
 import json
 import sys
 
-from .apps.em3d import generate_problem, run_em3d_hmpi, run_em3d_mpi
-from .apps.matmul import candidate_block_sizes, run_matmul_hmpi, run_matmul_mpi
+from .apps.matmul import run_matmul_hmpi
 from .cluster import multiprotocol_network, paper_network
 from .cluster.serialize import cluster_to_json
 from .core import GreedyMapper
 from .util.tables import Table
 
 __all__ = ["main"]
-
-
-def _cmd_fig09(args: argparse.Namespace) -> int:
-    table = Table("total nodes", "t_MPI (s)", "t_HMPI (s)", "speedup",
-                  title="Figure 9 — EM3D, HMPI vs MPI (virtual seconds)")
-    for total in args.sizes:
-        problem = generate_problem(p=9, total_nodes=total, seed=args.seed)
-        mpi = run_em3d_mpi(paper_network(), problem, niter=args.niter, k=100,
-                           engine=args.engine)
-        hmpi = run_em3d_hmpi(paper_network(), problem, niter=args.niter,
-                             k=100, procs_per_machine=args.slots,
-                             engine=args.engine)
-        table.add(total, mpi.algorithm_time, hmpi.algorithm_time,
-                  mpi.algorithm_time / hmpi.algorithm_time)
-    print(table.render())
-    return 0
-
-
-def _cmd_fig10(args: argparse.Namespace) -> int:
-    mpi = run_matmul_mpi(paper_network(), n=args.n, r=8, m=3, seed=args.seed,
-                         engine=args.engine)
-    table = Table("l", "t_MPI (s)", "t_HMPI (s)",
-                  title=f"Figure 10 — MM time vs generalized block size "
-                        f"(n={args.n}, r=8)")
-    for l in candidate_block_sizes(args.n, 3):
-        hmpi = run_matmul_hmpi(paper_network(), n=args.n, r=8, m=3, l=l,
-                               seed=args.seed, mapper=GreedyMapper(),
-                               engine=args.engine)
-        table.add(l, mpi.algorithm_time, hmpi.algorithm_time)
-    print(table.render())
-    return 0
-
-
-def _cmd_fig11(args: argparse.Namespace) -> int:
-    from .obs import Observability
-
-    obs = Observability(tracer=False)
-    table = Table("n (blocks)", "t_MPI (s)", "t_HMPI (s)", "speedup",
-                  title="Figure 11 — MM, HMPI vs MPI (r = l = 9)")
-    for n in args.sizes:
-        mpi = run_matmul_mpi(paper_network(), n=n, r=9, m=3, seed=args.seed,
-                             engine=args.engine)
-        hmpi = run_matmul_hmpi(paper_network(), n=n, r=9, m=3, l=9,
-                               seed=args.seed, mapper=GreedyMapper(), obs=obs,
-                               engine=args.engine)
-        table.add(n, mpi.algorithm_time, hmpi.algorithm_time,
-                  mpi.algorithm_time / hmpi.algorithm_time)
-    print(table.render())
-    print()
-    print(_selection_stats_table(obs).render())
-    return 0
-
-
-def _selection_stats_table(obs) -> Table:
-    """Selection-engine series from the registry, as a printable table."""
-    snap = obs.snapshot()
-    table = Table("selection metric", "value", title="Selection engine")
-    for series in snap["metrics"]:
-        if series["name"].startswith("hmpi.selection."):
-            table.add(series["name"].removeprefix("hmpi.selection."),
-                      int(series["value"]))
-    return table
 
 
 def _parse_fail(pairs: list[str]) -> dict[str, float]:
@@ -666,28 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="HMPI reproduction (Lastovetsky & Reddy, IPPS 2003)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p09 = sub.add_parser("fig09", help="EM3D, HMPI vs MPI")
-    p09.add_argument("--sizes", type=int, nargs="+",
-                     default=[9_000, 18_000, 27_000])
-    p09.add_argument("--niter", type=int, default=8)
-    p09.add_argument("--seed", type=int, default=42)
-    p09.add_argument("--slots", type=int, default=2,
-                     help="HMPI process slots per machine")
-    _engine_flag(p09)
-    p09.set_defaults(fn=_cmd_fig09)
-
-    p10 = sub.add_parser("fig10", help="MM time vs generalized block size")
-    p10.add_argument("--n", type=int, default=24)
-    p10.add_argument("--seed", type=int, default=10)
-    _engine_flag(p10)
-    p10.set_defaults(fn=_cmd_fig10)
-
-    p11 = sub.add_parser("fig11", help="MM, HMPI vs MPI")
-    p11.add_argument("--sizes", type=int, nargs="+", default=[9, 18, 27])
-    p11.add_argument("--seed", type=int, default=11)
-    _engine_flag(p11)
-    p11.set_defaults(fn=_cmd_fig11)
 
     pc = sub.add_parser("compile", help="compile + lint a PMDL model file")
     pc.add_argument("file")

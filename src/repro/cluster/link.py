@@ -72,7 +72,7 @@ class Link:
     pinned:
         Optional protocol name to force, disabling per-message selection —
         this models the standard-MPI limitation of a single protocol
-        (benchmarked in ``bench_ablation_protocol``).
+        (the multi-protocol ablation in EXPERIMENTS.md).
     """
 
     __slots__ = ("protocols", "_pinned")

@@ -117,7 +117,7 @@ def multiprotocol_network(
     Models the multi-protocol challenge: the named pairs can talk over both
     TCP and a fast transport, and the library picks the faster per message.
     Pinning all links to ``"tcp-100mbit"`` recovers the single-protocol
-    baseline (see ``bench_ablation_protocol``).
+    baseline (the multi-protocol ablation in EXPERIMENTS.md).
     """
     cluster = paper_network(speeds)
     for i, j in fast_pairs:

@@ -122,9 +122,8 @@ class SchedulerProfile:
     These are **wall-clock** numbers about the simulator itself — how
     fast the scheduler hands the baton around, how deep its ready heap
     gets — deliberately distinct from the virtual-time metrics the
-    simulation produces.  They are the quantity
-    ``benchmarks/bench_engine_throughput.py`` regresses on, and the
-    ROADMAP's scale goals are held to.
+    simulation produces.  The benchmark suite's ``mpi.task_switches``
+    and ``mpi.heap_high_water`` probes read them.
 
     Updates are plain attribute arithmetic on the scheduler's hot path
     (one int compare in ``_push``, one increment per dispatch), so

@@ -23,8 +23,8 @@ out of canonical campaign results (rows are a pure function of
 ``(config, seed)``).  The clock is injectable for deterministic tests.
 
 Disabled mode is an ``is None`` check at each instrumentation site —
-the same budget the metrics layer is held to (see
-``benchmarks/bench_obs_overhead.py``).
+the same budget the metrics layer is held to (the benchmark suite's
+``obs.enabled_overhead_pct`` probe measures the enabled cost).
 """
 
 from __future__ import annotations

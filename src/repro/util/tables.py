@@ -1,8 +1,7 @@
-"""Plain-text table rendering for benchmark harnesses.
+"""Plain-text table rendering for the command line.
 
-Every benchmark in ``benchmarks/`` prints the series a paper figure reports.
-This module renders them as aligned monospace tables so ``pytest benchmarks/
---benchmark-only -s`` output can be pasted directly into EXPERIMENTS.md.
+Renders rows as aligned monospace tables: the ``repro`` commands' reports
+(``campaign list``, ``stats``) and the prediction-accuracy table.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ from repro.cluster import paper_network, uniform_network
 from repro.perfmodel import lint_model
 from repro.util.errors import ReproError
 
+from ..experiments import assert_table
+
 
 class TestPartitionRows:
     def test_covers_interior(self):
@@ -101,6 +103,23 @@ class TestPerformance:
         assert hmpi.predicted_time == pytest.approx(
             hmpi.algorithm_time, rel=0.1
         )
+
+    def test_experiments_table(self):
+        """EXPERIMENTS.md's Jacobi table: HMPI wins at every grid size,
+        with the serial reference's numerics and a tight prediction."""
+        rows = []
+        for n in (60, 120, 180):
+            ref = jacobi_reference(n, 8, 3)
+            mpi = run_jacobi_mpi(paper_network(), n=n, p=6, niter=8, seed=3)
+            hmpi = run_jacobi_hmpi(paper_network(), n=n, p=6, niter=8, seed=3)
+            assert np.array_equal(mpi.grid, ref)
+            assert np.array_equal(hmpi.grid, ref)
+            assert hmpi.algorithm_time < mpi.algorithm_time
+            assert hmpi.predicted_time == pytest.approx(
+                hmpi.algorithm_time, rel=0.1)
+            rows.append([n, mpi.algorithm_time, hmpi.algorithm_time,
+                         mpi.algorithm_time / hmpi.algorithm_time])
+        assert_table("heterogeneous Jacobi", rows)
 
     def test_fast_machines_get_more_rows(self):
         hmpi = run_jacobi_hmpi(paper_network(), n=150, p=6, niter=4, seed=3)

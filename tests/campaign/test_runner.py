@@ -1,4 +1,4 @@
-"""The campaign runner and the three shipped drivers, end to end."""
+"""The campaign runner and the shipped drivers, end to end."""
 
 import pathlib
 
@@ -194,8 +194,7 @@ class TestShippedCampaignFiles:
         cfg = load_config(CAMPAIGNS / "ci_smoke.json")
         w = run_campaign(cfg)
         baseline = load_baseline(
-            CAMPAIGNS.parent.parent / "benchmarks" / "baselines"
-            / "campaign_smoke.json")
+            pathlib.Path(__file__).parent / "golden" / "campaign_smoke.json")
         assert check_against_baseline(w.rows, baseline) == []
 
 

@@ -4,6 +4,7 @@ invalidation, free-pool drafting, and the flat HMPI_* wrappers."""
 import numpy as np
 import pytest
 
+from repro.apps.jacobi import jacobi_reference, run_jacobi_ft
 from repro.cluster import FaultSchedule, inject_faults, uniform_network
 from repro.core import (
     HMPI_Group_create,
@@ -17,6 +18,8 @@ from repro.util.errors import (
     OperationTimeoutError,
     RankFailedError,
 )
+
+from ..experiments import assert_table
 
 
 def flat_model(nproc, volume=10.0):
@@ -254,3 +257,36 @@ class TestFlatAPI:
         res = run_hmpi(app, cluster, timeout=30)
         host = res.results[0]
         assert host[0] == "done" and 2 not in host[1]
+
+
+class TestRepairOverhead:
+    """EXPERIMENTS.md's repair-overhead table: FT Jacobi (n = 30,
+    16 sweeps, 4 machines) surviving one death, per checkpoint interval."""
+
+    @staticmethod
+    def _run(every, death_at=None):
+        cluster = uniform_network([100.0] * 4)
+        if death_at is not None:
+            inject_faults(cluster, FaultSchedule({"m02": death_at}))
+        return run_jacobi_ft(cluster, n=30, p=4, niter=16, k=100,
+                             checkpoint_every=every, timeout=120)
+
+    def test_overhead_is_bounded_and_tabled(self):
+        ref = jacobi_reference(30, 16)
+        table = []
+        for every in (1, 2, 4):
+            clean = self._run(every)
+            assert np.array_equal(clean.grid, ref)
+            for death_at in (0.02, 0.08, 0.16):
+                faulty = self._run(every, death_at)
+                assert faulty.grid is not None, faulty.error
+                assert np.array_equal(faulty.grid, ref)
+                assert faulty.repairs >= 1
+                # Never free, but bounded: the rollback redoes at most
+                # `every` sweeps plus the repair protocol.
+                assert clean.makespan < faulty.makespan < 5 * clean.makespan
+                if death_at == 0.08:
+                    overhead = (faulty.makespan / clean.makespan - 1) * 100
+                    table.append([every, death_at, clean.makespan,
+                                  faulty.makespan, overhead])
+        assert_table("Repair overhead", table)

@@ -6,6 +6,8 @@ import pytest
 from repro.cluster import multiprotocol_network, paper_network
 from repro.mpi import run_mpi
 
+from ..experiments import assert_table
+
 
 class TestProtocolSelection:
     def test_fast_pair_transfers_faster(self):
@@ -44,6 +46,33 @@ class TestProtocolSelection:
 
         res = run_mpi(app, cluster)
         assert res.results[1] > 0.9
+
+    def test_fastest_protocol_exchange_table(self):
+        """Neighbour exchange along the fast pairs: per-message protocol
+        selection against the same links pinned to TCP."""
+        fast_pairs = ((0, 1), (2, 3), (6, 7))
+        partners = {a: b for pair in fast_pairs for a, b in (pair, pair[::-1])}
+
+        def exchange(env):
+            partner = partners.get(env.rank)
+            if partner is not None:
+                payload = np.zeros(6_250_000 // 8)
+                for k in range(4):
+                    env.comm_world.sendrecv(payload, partner, k, partner, k)
+            return env.wtime()
+
+        multi = multiprotocol_network(fast_pairs=fast_pairs)
+        pinned = multiprotocol_network(fast_pairs=fast_pairs)
+        for i, j in fast_pairs:
+            pinned.link(i, j).pin("tcp-100mbit")
+        t_multi = run_mpi(exchange, multi).makespan
+        t_tcp = run_mpi(exchange, pinned).makespan
+        assert t_tcp / t_multi > 4.0
+        assert_table("Multi-protocol links", [
+            ["pinned to TCP (standard MPI)", t_tcp],
+            ["fastest protocol per message", t_multi],
+            ["ratio", t_tcp / t_multi],
+        ])
 
     def test_small_messages_may_prefer_low_latency(self):
         """Per-message selection: the crossover depends on size."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import TCP_100MBIT, uniform_network
+from repro.cluster import TCP_100MBIT, homogeneous_network, uniform_network
 from repro.mpi import run_mpi
 
 
@@ -105,6 +105,42 @@ class TestTransferTime:
         res = run_mpi(app, cluster, placement=[0, 0])
         # Over shm (1 GB/s) this is ~1 ms; over TCP it would be 80 ms.
         assert res.results[1] < 0.01
+
+    @pytest.mark.parametrize("nbytes", [0, 1 << 10, 1 << 14, 1 << 17,
+                                        1 << 20, 1 << 23])
+    def test_pingpong_is_the_hockney_curve(self, nbytes):
+        """Half a ping-pong is one Hockney transfer at every size: the
+        substrate agrees with its own cost model."""
+        def app(env):
+            c = env.comm_world
+            if env.rank == 0:
+                t0 = env.wtime()
+                c.send(b"", 1, tag=0, nbytes=nbytes)
+                c.recv(1, tag=0)
+                return (env.wtime() - t0) / 2
+            c.recv(0, tag=0)
+            c.send(b"", 0, tag=0, nbytes=nbytes)
+            return None
+
+        res = run_mpi(app, homogeneous_network(2))
+        assert res.results[0] == pytest.approx(
+            TCP_100MBIT.transfer_time(nbytes), rel=1e-9)
+
+    def test_binomial_bcast_costs_ceil_log2_p_hops(self):
+        hop = TCP_100MBIT.transfer_time(1 << 20)
+
+        def app(env):
+            c = env.comm_world
+            c.barrier()
+            t0 = env.wtime()
+            c.bcast(b"" if env.rank == 0 else None, root=0, nbytes=1 << 20)
+            c.barrier()
+            return env.wtime() - t0
+
+        for hops, p in enumerate((2, 4, 8, 16), start=1):
+            res = run_mpi(app, homogeneous_network(p))
+            # the barriers add latency-scale time only
+            assert max(res.results) == pytest.approx(hops * hop, rel=0.05)
 
 
 class TestOrdering:

@@ -12,6 +12,8 @@ from repro.mpi import SUM, run_mpi
 from repro.obs import MetricsRegistry
 from repro.util.errors import MPICommError
 
+from ..experiments import assert_table
+
 HIER_BCAST = ("binomial", "flat", "chain", "hierarchical", "auto")
 HIER_REDUCE = ("binomial", "flat", "hierarchical", "auto")
 
@@ -179,6 +181,40 @@ class TestVirtualTimeWins:
                  if a != "auto"]
         worst = max(self._makespan(a, coll) for a in algos)
         assert self._makespan("auto", coll) <= worst + 1e-9
+
+    def test_two_site_tables(self):
+        """EXPERIMENTS.md's flat-vs-hierarchical tables (root 2): the
+        hierarchy beats the topology-blind tree at every size, and auto
+        never loses to the worst fixed choice."""
+        cluster = two_site_network()
+
+        def bcast(env, nbytes, algorithm):
+            env.comm_world.bcast(b"x" if env.rank == 2 else None, root=2,
+                                 nbytes=nbytes, algorithm=algorithm)
+
+        def reduce(env, length, algorithm):
+            env.comm_world.reduce([float(env.rank)] * length, SUM, root=2,
+                                  algorithm=algorithm)
+
+        def allgather(env, length, algorithm):
+            env.comm_world.allgather([float(env.rank)] * length,
+                                     algorithm=algorithm)
+
+        for index, (app, sizes, algos, tree) in enumerate((
+            (bcast, (1 << 10, 1 << 16, 1 << 20), HIER_BCAST, "binomial"),
+            (reduce, (16, 256, 4096), HIER_REDUCE, "binomial"),
+            (allgather, (16, 256, 4096), ("ring", "hierarchical", "auto"),
+             "ring"),
+        )):
+            table = []
+            for size in sizes:
+                times = {a: run_mpi(app, cluster, args=(size, a)).makespan
+                         for a in algos}
+                assert times["hierarchical"] < times[tree]
+                assert times["auto"] <= max(
+                    t for a, t in times.items() if a != "auto") + 1e-9
+                table.append([size, *times.values()])
+            assert_table("flat vs hierarchical collectives", table, index)
 
 
 class TestMetricsRecording:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import uniform_network
+from repro.cluster import TCP_100MBIT, uniform_network
 from repro.mpi import run_mpi
 from repro.mpi.launcher import default_placement
 from repro.util.errors import MPIError
@@ -105,3 +105,28 @@ class TestConcurrencyParameter:
 
         res = run_mpi(app, cluster)
         assert res.results[0]
+
+
+@pytest.mark.slow
+class TestScale:
+    def test_ten_thousand_rank_token_ring_completes(self):
+        """One lap of a token around 10 000 ranks on the event core:
+        every receive blocks, so every hop is a scheduler hand-off."""
+        nranks = 10_000
+
+        def ring(env):
+            comm = env.comm_world
+            nxt, prv = (env.rank + 1) % env.size, (env.rank - 1) % env.size
+            if env.rank == 0:
+                comm.send(0, nxt, nbytes=64)
+                return comm.recv(prv)
+            comm.send(comm.recv(prv) + 1, nxt, nbytes=64)
+            return None
+
+        res = run_mpi(ring, uniform_network([100.0] * 64), nprocs=nranks,
+                      timeout=600.0)
+        assert not res.failed
+        assert res.results[0] == nranks - 1
+        # neighbours always sit on different machines: one TCP hop each
+        assert res.makespan == pytest.approx(
+            nranks * TCP_100MBIT.transfer_time(64), rel=1e-9)

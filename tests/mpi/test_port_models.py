@@ -6,6 +6,8 @@ from repro.cluster import TCP_100MBIT, Cluster, Machine, uniform_network
 from repro.mpi import run_mpi
 from repro.util.errors import MPICommError
 
+from ..experiments import assert_table
+
 
 def single_port_network(n, speed=100.0):
     return Cluster([Machine(f"sp{i:02d}", speed) for i in range(n)],
@@ -148,3 +150,31 @@ class TestBcastAlgorithms:
             return max(run_mpi(app, single_port_network(8)).results)
 
         assert timed("binomial") < timed("flat")
+
+    def test_best_algorithm_flips_with_the_port_model(self):
+        """EXPERIMENTS.md's broadcast x port-model table: 6.25 MB to 8
+        ranks, flat wins on the switch and the binomial tree under
+        single-port."""
+        algorithms = ("flat", "binomial", "chain")
+
+        def timed(single_port, algorithm):
+            def app(env):
+                env.comm_world.bcast(b"" if env.rank == 0 else None,
+                                     root=0, nbytes=6_250_000,
+                                     algorithm=algorithm)
+                env.comm_world.barrier()
+                return env.wtime()
+
+            cluster = Cluster([Machine(f"n{i:02d}", 100.0) for i in range(8)],
+                              single_port=single_port)
+            return max(run_mpi(app, cluster).results)
+
+        switched = [timed(False, a) for a in algorithms]
+        single = [timed(True, a) for a in algorithms]
+        assert_table("Broadcast algorithm", [
+            ["switched (paper's testbed)", *switched],
+            ["single-port", *single],
+        ])
+        assert switched[0] < switched[1] < switched[2]
+        assert single[1] < single[0]
+        assert switched.index(min(switched)) != single.index(min(single))

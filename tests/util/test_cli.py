@@ -14,25 +14,8 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_fig09_defaults(self):
-        args = build_parser().parse_args(["fig09"])
-        assert args.slots == 2
-        assert args.niter == 8
-
 
 class TestCommands:
-    def test_fig09_small(self, capsys):
-        assert main(["fig09", "--sizes", "4500", "--niter", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 9" in out
-        assert "4500" in out
-
-    def test_fig11_small(self, capsys):
-        assert main(["fig11", "--sizes", "9"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 11" in out
-        assert "speedup" in out
-
     def test_cluster_json(self, capsys):
         assert main(["cluster", "--preset", "paper"]) == 0
         blob = json.loads(capsys.readouterr().out)
@@ -453,12 +436,6 @@ class TestObservabilityCommands:
         snap = json.loads(capsys.readouterr().out)
         assert "metrics" in snap and "accuracy" in snap
         assert snap["accuracy"]["ParallelAxB"]["measured"] == 1
-
-    def test_fig11_prints_selection_stats(self, capsys):
-        assert main(["fig11", "--sizes", "9"]) == 0
-        out = capsys.readouterr().out
-        assert "Selection engine" in out
-        assert "cache_misses" in out
 
 
 class TestCampaignLiveAndMonitor:
