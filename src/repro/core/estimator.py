@@ -150,10 +150,10 @@ class _TraceRecorder(LinearActionVisitor):
     """Records the scheme's action stream once for cheap replay.
 
     The interaction order declared by a ``scheme`` does not depend on the
-    mapping (it is a property of the algorithm), so a single interpreted
-    walk can be replayed against many candidate mappings — this is what
-    makes the mappers' local search affordable for schemes with tens of
-    thousands of actions.
+    mapping (it is a property of the algorithm), so a single walk of the
+    generated scheme can be replayed against many candidate mappings —
+    this is what makes the mappers' local search affordable for schemes
+    with tens of thousands of actions.
     """
 
     __slots__ = ("events",)

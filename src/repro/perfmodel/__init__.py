@@ -19,7 +19,7 @@ from .compiler import (
 )
 from .diagnostics import RULES, Diagnostic, DiagnosticReport, Severity
 from .lint import LintReport, lint_model
-from .interp import ActionVisitor, Environment, Interpreter, Ref, StructValue
+from .interp import Ref, StructValue
 from .lexer import tokenize
 from .model import (
     AbstractBoundModel,
@@ -77,9 +77,6 @@ __all__ = [
     "check_net",
     "check_model_net",
     "probe_bindings",
-    "ActionVisitor",
-    "Interpreter",
-    "Environment",
     "StructValue",
     "Ref",
 ]

@@ -950,6 +950,10 @@ class _Analyzer:
             return None
         if isinstance(update, ast.IncDec) and _key_of(update.target) == var:
             return 1.0 if update.op == "++" else -1.0
+        if (isinstance(update, ast.Assign) and update.op == "="
+                and _key_of(update.target) == var
+                and _key_of(update.value) == var):
+            return 0.0  # i = i
         if (isinstance(update, ast.Assign) and _key_of(update.target) == var
                 and isinstance(update.value, ast.IntLit)):
             if update.op == "+=":
@@ -998,6 +1002,19 @@ class _Analyzer:
             init_ival = env.lookup(loopvar) if loopvar is not None else TOP
             step = (self._const_step(stmt.update, loopvar)
                     if loopvar is not None else None)
+            if (step == 0 and stmt.cond is not None and loopvar is not None
+                    and loopvar not in body_keys
+                    and not (cond_keys - {loopvar}) & written
+                    and not any(isinstance(n, ast.Call)
+                                for part in (stmt.cond, stmt.update, stmt.body)
+                                for n in ast.walk(part))
+                    and (entry == TRUE or self._holds(stmt.cond, env))):
+                self.emit(PM033.at(
+                    stmt,
+                    f"{kind} loop update leaves {loopvar!r} unchanged and "
+                    f"the condition {format_expression(stmt.cond)} holds on "
+                    f"entry: the loop never terminates",
+                ))
             if (step is not None and stmt.cond is not None
                     and loopvar is not None
                     and loopvar not in body_keys):
@@ -1051,6 +1068,38 @@ class _Analyzer:
             for key in self._written_keys(stmt.init, stmt.update, stmt.body):
                 if key in env:
                     env.assign(key, TOP)
+
+    def _holds(self, cond: ast.Expr, env: AbsEnv) -> bool:
+        """``cond`` provably holds, given that every parameter used as a
+        whole coordinate or link-variable extent is >= 1 (any binding
+        that reaches the scheme has positive extents)."""
+        if isinstance(cond, ast.Binary) and cond.op == "&&":
+            return self._holds(cond.left, env) and self._holds(cond.right, env)
+        if not (isinstance(cond, ast.Binary)
+                and cond.op in ("<", "<=", ">", ">=", "!=")):
+            return self.truth(cond, env) == TRUE
+        a, b = self.eval(cond.left, env), self.eval(cond.right, env)
+        floors: dict[str, float] = {}
+        for decl in (*self.alg.coords, *self.alg.link_vars):
+            extent = decl.extent
+            if isinstance(extent, ast.Name) and extent.ident in self.params:
+                floors[extent.ident] = 1.0
+
+        def below(x: Lin | None, y: Lin | None, strict: bool) -> bool:
+            """Provably x < y (x <= y when not strict)."""
+            if x is None or y is None:
+                return False
+            d = x - y
+            if any(c > 0 or s not in floors for s, c in d.coeffs.items()):
+                return False
+            top = d.const + sum(c * floors[s] for s, c in d.coeffs.items())
+            return top < 0 if strict else top <= 0
+
+        if cond.op in (">", ">="):
+            a, b = b, a
+        if cond.op == "!=":
+            return below(a.hi, b.lo, True) or below(b.hi, a.lo, True)
+        return below(a.hi, b.lo, cond.op in ("<", ">"))
 
     def _direction_mismatch(self, cond: ast.Expr, var: str,
                             step: float) -> bool:

@@ -303,9 +303,14 @@ class Algorithm(Node):
 # generic traversal (used by the static analyzer)
 # ----------------------------------------------------------------------
 
+#: Annotations of fields that never hold a node.
+_SCALAR_TYPES = frozenset({"str", "int", "float", "bool"})
+
+
 @cache
 def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+    """The fields of ``cls`` that can hold a node or a list of nodes."""
+    return tuple(f.name for f in fields(cls) if f.type not in _SCALAR_TYPES)
 
 
 def iter_child_nodes(node: Node) -> Iterator[Node]:
@@ -327,7 +332,16 @@ def iter_child_nodes(node: Node) -> Iterator[Node]:
 def walk(node: Node) -> Iterator[Node]:
     """Yield ``node`` and every descendant, depth-first, in source order."""
     stack = [node]
+    pop, push = stack.pop, stack.append
     while stack:
-        current = stack.pop()
+        current = pop()
         yield current
-        stack.extend(reversed(list(iter_child_nodes(current))))
+        names = _field_names(type(current))
+        for i in range(len(names) - 1, -1, -1):
+            value = getattr(current, names[i])
+            if isinstance(value, list):
+                for j in range(len(value) - 1, -1, -1):
+                    if isinstance(value[j], Node):
+                        push(value[j])
+            elif isinstance(value, Node):
+                push(value)

@@ -105,9 +105,11 @@ def _front_end(
                        f"semantic errors in algorithm {item.name!r}:\n  {details}"))
             continue
         diags = analyze_algorithm(item, structs) if analyze else []
-        if net_check:
-            diags += check_algorithm_net(item, structs, externals)
         errors = [d for d in diags if d.severity >= Severity.ERROR]
+        if net_check and not errors:
+            # a model the analyzer refuses is not unrolled
+            diags += check_algorithm_net(item, structs, externals)
+            errors = [d for d in diags if d.severity >= Severity.ERROR]
         error = None
         if errors:
             details = "\n  ".join(d.render() for d in errors)
@@ -134,9 +136,9 @@ def compile_source(
     called name to be bound.  Pass ``analyze=False`` to skip the static
     analyzer (e.g. when compiling a deliberately-defective model).
 
-    ``net_check=True`` additionally unrolls each algorithm's scheme into
-    its communication net at an automatic probe binding and runs the
-    PM08x structural checks (:mod:`repro.perfmodel.netcheck`): a proven
+    ``net_check=True`` additionally unrolls each algorithm the analyzer
+    accepts into its communication net at an automatic probe binding and
+    runs the PM08x structural checks (:mod:`repro.perfmodel.netcheck`): a proven
     structural deadlock aborts compilation exactly like an analyzer
     error; warnings join the model's ``diagnostics``.
     """
@@ -162,9 +164,10 @@ def check_source(source: str, target: str = "<source>", *,
     functions called by schemes are assumed declared (the CLI has no
     bindings at check time).
 
-    With ``net=True`` each clean algorithm is additionally unrolled into
-    its communication net at an automatic probe binding and the PM08x
-    structural checks run (:mod:`repro.perfmodel.netcheck`); ``externals``
+    With ``net=True`` each algorithm without analyzer errors is
+    additionally unrolled into its communication net at an automatic probe
+    binding and the PM08x structural checks run
+    (:mod:`repro.perfmodel.netcheck`); ``externals``
     supplies real implementations of called functions so schemes using
     them can unroll (otherwise they skip with PM084).
     """

@@ -16,7 +16,9 @@ __all__ = ["tokenize", "MAX_LITERAL_LENGTH"]
 #: ``long`` or ``double``, far below where ``int()`` itself refuses.
 MAX_LITERAL_LENGTH = 128
 
-_PUNCT_BY_LENGTH = sorted(PUNCTUATION, key=len, reverse=True)
+_PUNCT2 = frozenset(p for p in PUNCTUATION if len(p) == 2)
+_PUNCT1 = frozenset(p for p in PUNCTUATION if len(p) == 1)
+assert _PUNCT1 | _PUNCT2 == set(PUNCTUATION)  # longest match is 2 characters
 
 
 def tokenize(source: str) -> list[Token]:
@@ -43,11 +45,11 @@ def tokenize(source: str) -> list[Token]:
             col += 1
             continue
         # comments
-        if source.startswith("//", i):
+        if c == "/" and source.startswith("//", i):
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if source.startswith("/*", i):
+        if c == "/" and source.startswith("/*", i):
             end = source.find("*/", i + 2)
             if end < 0:
                 raise error("unterminated block comment")
@@ -103,14 +105,14 @@ def tokenize(source: str) -> list[Token]:
             col += i - start
             continue
         # punctuation (longest match)
-        for punct in _PUNCT_BY_LENGTH:
-            if source.startswith(punct, i):
-                tokens.append(Token(TokenKind.PUNCT, punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise error(f"unexpected character {c!r}")
+        punct = source[i:i + 2]
+        if punct not in _PUNCT2:
+            punct = c
+            if punct not in _PUNCT1:
+                raise error(f"unexpected character {c!r}")
+        tokens.append(Token(TokenKind.PUNCT, punct, line, col))
+        i += len(punct)
+        col += len(punct)
 
     tokens.append(Token(TokenKind.EOF, "", line, col))
     return tokens

@@ -11,27 +11,27 @@ features the paper enumerates:
    (``node_volumes``);
 3. the communication volume between each ordered pair, in bytes
    (``link_volumes``);
-4. the interaction order (``walk_scheme`` replays the ``scheme`` against an
-   :class:`~repro.perfmodel.interp.ActionVisitor`).
+4. the interaction order (``walk_scheme`` runs the ``scheme`` against a
+   :class:`LinearActionVisitor` sink).
 
-A Python-native alternative (no DSL) implementing the same
-:class:`AbstractBoundModel` interface lives in
-:mod:`repro.perfmodel.builder`; the HMPI estimator and mapper work against
-the interface only.
+All four run the functions :mod:`repro.perfmodel.codegen` generates from
+the algorithm, once per :class:`PerformanceModel`.  A Python-native
+alternative (no DSL) implementing the same :class:`AbstractBoundModel`
+interface lives in :mod:`repro.perfmodel.builder`; the HMPI estimator and
+mapper work against the interface only.
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
 
 from ..util.errors import PMDLRuntimeError, PMDLSemanticError
 from . import ast
-from .interp import ActionVisitor, Environment, Interpreter
+from .codegen import ModelCode, generate
 
 __all__ = [
     "AbstractBoundModel",
@@ -70,10 +70,16 @@ class AbstractBoundModel(ABC):
 
 
 class LinearActionVisitor:
-    """Visitor over *linear* processor indices (coords already resolved).
+    """Sink of a scheme walk: the actions over *linear* processor indices.
 
-    The structural hooks mirror :class:`~repro.perfmodel.interp.ActionVisitor`
-    and default to no-ops; the net lowering pass overrides them.
+    Besides the two actions, a walk reports the scheme's *structure*
+    through four optional hooks, all no-ops by default:
+    ``enter_par``/``next_par_branch``/``exit_par`` bracket each dynamic
+    ``par`` loop instance and its iterations (``for`` loops stay
+    sequential and silent), and ``at_line`` fires just before each action
+    with its source line.  The net lowering pass
+    (:mod:`repro.perfmodel.net`) is their consumer; a walk skips the hooks
+    a sink does not override.
     """
 
     def compute(self, percent: float, proc: int) -> None:  # pragma: no cover - interface
@@ -95,31 +101,11 @@ class LinearActionVisitor:
         """The next action originates from this source line."""
 
 
-class _CoordTranslator(ActionVisitor):
-    """Adapts coordinate-tuple actions to linear-index actions."""
+_PAR_HOOKS = ("enter_par", "next_par_branch", "exit_par")
 
-    def __init__(self, model: "BoundModel", inner: LinearActionVisitor):
-        self.model = model
-        self.inner = inner
 
-    def compute(self, percent: float, coords: tuple[int, ...]) -> None:
-        self.inner.compute(percent, self.model.linear_index(coords))
-
-    def transfer(self, percent: float, src: tuple[int, ...], dst: tuple[int, ...]) -> None:
-        self.inner.transfer(percent, self.model.linear_index(src),
-                            self.model.linear_index(dst))
-
-    def enter_par(self, line: int) -> None:
-        self.inner.enter_par(line)
-
-    def next_par_branch(self, line: int) -> None:
-        self.inner.next_par_branch(line)
-
-    def exit_par(self, line: int) -> None:
-        self.inner.exit_par(line)
-
-    def at_line(self, line: int) -> None:
-        self.inner.at_line(line)
+def _overrides(sink: Any, hook: str) -> bool:
+    return getattr(type(sink), hook, None) is not getattr(LinearActionVisitor, hook)
 
 
 def default_scheme_walk(model: AbstractBoundModel, visitor: LinearActionVisitor) -> None:
@@ -140,25 +126,21 @@ def default_scheme_walk(model: AbstractBoundModel, visitor: LinearActionVisitor)
 
 
 class BoundModel(AbstractBoundModel):
-    """A DSL performance model bound to concrete parameter values."""
+    """A DSL performance model bound to concrete parameter values.
+
+    Every feature runs the model's generated functions
+    (:mod:`repro.perfmodel.codegen`) over one packed argument tuple, built
+    once here: the parameter values plus nested-list copies of the array
+    parameters the generated code reads element by element.
+    """
 
     def __init__(self, perf_model: "PerformanceModel", params: dict[str, Any]):
         self._pm = perf_model
         self.params = params
-        alg = perf_model.algorithm
-        base = dict(params)
-        interp = perf_model.interpreter
-        env = Environment(base)
-        self._extents: list[int] = []
-        for coord in alg.coords:
-            extent = interp.eval(coord.extent, env)
-            if not isinstance(extent, int) or extent <= 0:
-                raise PMDLRuntimeError(
-                    f"coordinate {coord.name!r} extent must be a positive int, "
-                    f"got {extent!r}"
-                )
-            self._extents.append(extent)
-        self._coord_names = [c.name for c in alg.coords]
+        self._code = code = perf_model.code
+        self._args = code.pack(params)
+        self._extents: tuple[int, ...] = code.extents(self._args)
+        self._coord_names = [c.name for c in perf_model.algorithm.coords]
         self._node_volumes: np.ndarray | None = None
         self._link_volumes: np.ndarray | None = None
 
@@ -190,7 +172,8 @@ class BoundModel(AbstractBoundModel):
         for c, e in zip(coords, self._extents):
             if not 0 <= c < e:
                 raise PMDLRuntimeError(
-                    f"coordinate {coords!r} out of range for extents {self._extents}"
+                    f"coordinate {coords!r} out of range for extents "
+                    f"{list(self._extents)}"
                 )
             idx = idx * e + c
         return idx
@@ -205,28 +188,13 @@ class BoundModel(AbstractBoundModel):
             index //= e
         return tuple(reversed(coords))
 
-    def _coord_env(self, coords: tuple[int, ...]) -> Environment:
-        env = Environment(self.params)
-        for name, value in zip(self._coord_names, coords):
-            env.declare(name, value)
-        return env
-
     # ------------------------------------------------------------------
     # the four model features
     # ------------------------------------------------------------------
     def node_volumes(self) -> np.ndarray:
         if self._node_volumes is None:
-            interp = self._pm.interpreter
-            out = np.zeros(self.nproc, dtype=float)
-            for coords in itertools.product(*(range(e) for e in self._extents)):
-                env = self._coord_env(coords)
-                for rule in self._pm.algorithm.node_rules:
-                    if interp.eval(rule.condition, env):
-                        out[self.linear_index(coords)] = float(
-                            interp.eval(rule.volume, env)
-                        )
-                        break
-            self._node_volumes = out
+            self._node_volumes = np.array(
+                self._code.node_volumes(self._args, self._extents), dtype=float)
         return self._node_volumes
 
     def link_volumes(self) -> np.ndarray:
@@ -238,67 +206,45 @@ class BoundModel(AbstractBoundModel):
         Distinct rules (e.g. matrix A vs matrix B traffic) accumulate.
         """
         if self._link_volumes is None:
-            interp = self._pm.interpreter
-            alg = self._pm.algorithm
+            code = self._code
             n = self.nproc
-            out = np.zeros((n, n), dtype=float)
-            env0 = Environment(self.params)
-            link_extents = [interp.eval(lv.extent, env0) for lv in alg.link_vars]
-            for ext, lv in zip(link_extents, alg.link_vars):
+            link_extents = code.link_extents(self._args)
+            for ext, lv in zip(link_extents, self._pm.algorithm.link_vars):
                 if not isinstance(ext, int) or ext <= 0:
                     raise PMDLRuntimeError(
                         f"link variable {lv.name!r} extent must be a positive int"
                     )
-            for rule_idx, rule in enumerate(alg.link_rules):
-                asserted: dict[tuple[int, int], float] = {}
-                for coords in itertools.product(*(range(e) for e in self._extents)):
-                    env = self._coord_env(coords)
-                    for lv_values in itertools.product(*(range(e) for e in link_extents)):
-                        env.push()
-                        try:
-                            for lv, value in zip(alg.link_vars, lv_values):
-                                env.declare(lv.name, value)
-                            if not interp.eval(rule.condition, env):
-                                continue
-                            src = tuple(int(interp.eval(c, env)) for c in rule.src)
-                            dst = tuple(int(interp.eval(c, env)) for c in rule.dst)
-                            volume = float(interp.eval(rule.volume, env))
-                            key = (self.linear_index(src), self.linear_index(dst))
-                            asserted[key] = volume
-                        finally:
-                            env.pop()
-                for (s, d), volume in asserted.items():
-                    out[s, d] += volume
-            self._link_volumes = out
+            flat = [0.0] * (n * n)
+            for rule in code.link_rules:
+                for key, volume in rule(self._args, self._extents,
+                                        link_extents, n).items():
+                    flat[key] += volume
+            self._link_volumes = np.array(flat, dtype=float).reshape(n, n)
         return self._link_volumes
 
     def parent_index(self) -> int:
-        alg = self._pm.algorithm
-        if alg.parent is None:
+        parent = self._code.parent
+        if parent is None:
             return 0
-        interp = self._pm.interpreter
-        env = Environment(self.params)
-        coords = tuple(int(interp.eval(c, env)) for c in alg.parent.coords)
-        return self.linear_index(coords)
+        return self.linear_index(parent(self._args))
 
     def walk_scheme(self, visitor: LinearActionVisitor) -> None:
-        alg = self._pm.algorithm
-        if alg.scheme is None:
+        scheme = self._code.scheme
+        if scheme is None:
             default_scheme_walk(self, visitor)
             return
-        interp = self._pm.interpreter
-        # Coordinate names are not in scope inside a scheme — it describes
-        # all processors at once; only the parameters are visible.
-        env = Environment(self.params)
-        translator = _CoordTranslator(self, visitor)
-        interp.exec_block(alg.scheme.body, env, translator)
+        scheme(self._args, self._extents, visitor.compute, visitor.transfer,
+               any(_overrides(visitor, h) for h in _PAR_HOOKS),
+               visitor.enter_par, visitor.next_par_branch, visitor.exit_par,
+               _overrides(visitor, "at_line"), visitor.at_line)
 
 
 class PerformanceModel:
     """A compiled ``algorithm`` definition plus its execution context.
 
     Equivalent to the handle the paper passes around as
-    ``const HMPI_Model*`` — it encapsulates the generated functions.
+    ``const HMPI_Model*`` — it encapsulates the generated functions
+    (:attr:`code`), generated on first use and kept for the model's life.
     """
 
     def __init__(
@@ -311,9 +257,16 @@ class PerformanceModel:
         self.algorithm = algorithm
         self.structs = dict(structs or {})
         self.externals = dict(externals or {})
-        self.interpreter = Interpreter(self.structs, self.externals)
         #: Non-fatal analyzer findings (warnings/infos) from compilation.
         self.diagnostics = tuple(diagnostics)
+        self._code: ModelCode | None = None
+
+    @property
+    def code(self) -> ModelCode:
+        """The model's generated functions (generated on first use)."""
+        if self._code is None:
+            self._code = generate(self.algorithm, self.structs, self.externals)
+        return self._code
 
     @property
     def name(self) -> str:
@@ -326,7 +279,6 @@ class PerformanceModel:
     def register_external(self, name: str, fn: Callable[..., Any]) -> None:
         """Bind a Python callable invokable from the scheme (e.g. GetProcessor)."""
         self.externals[name] = fn
-        self.interpreter.externals[name] = fn
 
     def bind(self, *args: Any, **kwargs: Any) -> BoundModel:
         """Bind parameter values (positionally, by name, or mixed).
@@ -356,8 +308,8 @@ class PerformanceModel:
         return BoundModel(self, params)
 
     def _validate(self, params: dict[str, Any]) -> None:
-        interp = self.interpreter
-        env = Environment(params)
+        dims = self.code.dims
+        env = dict(params)  # what dimension expressions read (and may write)
         for p in self.algorithm.params:
             value = params[p.name]
             if not p.dims:
@@ -372,15 +324,14 @@ class PerformanceModel:
                     f"parameter {p.name!r} must have {len(p.dims)} dimensions, "
                     f"got {arr.ndim}"
                 )
-            for axis, dim_expr in enumerate(p.dims):
-                expected = interp.eval(dim_expr, env)
+            for axis, expected in enumerate(dims[p.name](env)):
                 if arr.shape[axis] != expected:
                     raise PMDLSemanticError(
                         f"parameter {p.name!r} axis {axis} must have length "
                         f"{expected}, got {arr.shape[axis]}"
                     )
             # Store as an ndarray so multi-dim indexing a[i][j] works and
-            # element reads come back as Python scalars via the interpreter.
+            # element reads come back as Python scalars.
             params[p.name] = arr
 
     def __repr__(self) -> str:

@@ -13,10 +13,13 @@ unrolls one concrete binding of a scheme into an explicit net:
   transfer (its token moves from sender to receiver), and the initial
   marking place of each participating process.
 
-The unroll happens through the structural visitor hooks the interpreter
-reports (:class:`~repro.perfmodel.interp.ActionVisitor.enter_par` and
-friends), so every ``AbstractBoundModel`` lowers — DSL models, builder
-models, and the scheme-less default walk alike.
+The unroll is one more sink over the model's own scheme walk: the
+generated executor (:mod:`repro.perfmodel.codegen`) reports the structural
+hooks of :class:`~repro.perfmodel.model.LinearActionVisitor`
+(``enter_par`` and friends) beside the actions, so every
+``AbstractBoundModel`` lowers — DSL models, builder models, and the
+scheme-less default walk alike.  A walk that would unroll past a cap
+stops at the first event beyond it (:class:`NetTooLarge`).
 
 Concurrency is series-parallel: each event carries the dynamic ``par``
 path it was emitted under, and two events are concurrent exactly when
@@ -31,7 +34,7 @@ renders.
 The same kept-event sequence, in the same order, is what
 :class:`repro.core.seleng.CompiledTrace` compiles, which is why the
 ``NetTimeof`` evaluator can price candidates by longest path over this
-structure and agree bitwise with the interpreter.
+structure and agree bitwise with the timeline oracle.
 """
 
 from __future__ import annotations
@@ -39,13 +42,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from io import StringIO
 
+from ..util.errors import PMDLError
 from .model import AbstractBoundModel, LinearActionVisitor
 
-__all__ = ["NetEvent", "ParInstance", "CommNet", "lower_model"]
+__all__ = ["NetEvent", "ParInstance", "CommNet", "NetTooLarge", "lower_model"]
 
 #: Beyond this many unrolled events the checks in ``netcheck`` skip with
 #: PM084 instead of risking a quadratic blow-up on a pathological binding.
 MAX_NET_EVENTS = 20_000
+
+
+class NetTooLarge(PMDLError):
+    """The scheme unrolls to more events than the lowering's cap."""
 
 
 @dataclass(frozen=True)
@@ -94,9 +102,10 @@ class ParInstance:
 class _NetRecorder(LinearActionVisitor):
     """Records actions with their source line and dynamic ``par`` path."""
 
-    def __init__(self, model: AbstractBoundModel):
+    def __init__(self, model: AbstractBoundModel, max_events: int | None = None):
         self._nv = model.node_volumes()
         self._lv = model.link_volumes()
+        self._max = max_events
         self.events: list[NetEvent] = []
         self.pars: dict[int, ParInstance] = {}
         self._stack: list[list[int]] = []  # [pid, branch, line] per open par
@@ -125,7 +134,13 @@ class _NetRecorder(LinearActionVisitor):
         return tuple((pid, branch) for pid, branch, _ in self._stack)
 
     # -- actions ---------------------------------------------------------
+    def _check_size(self) -> None:
+        if self._max is not None and len(self.events) >= self._max:
+            raise NetTooLarge(
+                f"the scheme unrolls to more than {self._max} events")
+
     def compute(self, percent: float, proc: int) -> None:
+        self._check_size()
         volume = (percent / 100.0) * float(self._nv[proc])
         self.events.append(NetEvent(
             idx=len(self.events), kind="compute", line=self._line,
@@ -135,6 +150,7 @@ class _NetRecorder(LinearActionVisitor):
         self._line = 0
 
     def transfer(self, percent: float, src: int, dst: int) -> None:
+        self._check_size()
         nbytes = (percent / 100.0) * float(self._lv[src, dst])
         kept = nbytes != 0.0 and src != dst
         self.events.append(NetEvent(
@@ -363,8 +379,13 @@ class CommNet:
         return out.getvalue()
 
 
-def lower_model(model: AbstractBoundModel) -> CommNet:
-    """Unroll a bound model's scheme into its communication net."""
-    recorder = _NetRecorder(model)
+def lower_model(model: AbstractBoundModel,
+                max_events: int | None = None) -> CommNet:
+    """Unroll a bound model's scheme into its communication net.
+
+    With ``max_events``, the walk stops at the first event beyond it and
+    raises :class:`NetTooLarge`.
+    """
+    recorder = _NetRecorder(model, max_events)
     model.walk_scheme(recorder)
     return CommNet(model.nproc, recorder.events, recorder.pars)

@@ -43,9 +43,8 @@ import numpy as np
 from ..util.errors import PMDLError
 from . import ast
 from .diagnostics import Diagnostic, Severity, register_rule
-from .interp import Environment
 from .model import AbstractBoundModel, BoundModel, PerformanceModel
-from .net import MAX_NET_EVENTS, CommNet, lower_model
+from .net import MAX_NET_EVENTS, CommNet, NetTooLarge, lower_model
 
 __all__ = [
     "probe_bindings",
@@ -83,7 +82,7 @@ def probe_bindings(
     keeps dependent array shapes consistent.
     """
     overrides = overrides or {}
-    interp = pm.interpreter
+    code = pm.code
     values: dict[str, Any] = {}
     for p in pm.algorithm.params:
         if p.name in overrides:
@@ -92,8 +91,7 @@ def probe_bindings(
         if not p.dims:
             values[p.name] = 1.0 if p.type_name == "double" else 4
             continue
-        env = Environment(values)
-        dims = [interp.eval(d, env) for d in p.dims]
+        dims = list(code.dims[p.name](dict(values)))
         if not all(isinstance(d, int) and d > 0 for d in dims):
             raise PMDLError(
                 f"parameter {p.name!r}: probe dimensions {dims!r} are not "
@@ -105,12 +103,14 @@ def probe_bindings(
 
 
 def unroll(
-    pm: PerformanceModel, overrides: dict[str, Any] | None = None
+    pm: PerformanceModel, overrides: dict[str, Any] | None = None,
+    max_events: int | None = None,
 ) -> tuple[BoundModel, CommNet]:
     """Bind ``pm`` at its probe values (``overrides`` replacing individual
-    ones) and lower the bound model to its communication net."""
+    ones) and lower the bound model to its communication net (stopping
+    past ``max_events``, see :func:`~repro.perfmodel.net.lower_model`)."""
     bound = pm.bind(**probe_bindings(pm, overrides))
-    return bound, lower_model(bound)
+    return bound, lower_model(bound, max_events)
 
 
 def _check_deadlock(net: CommNet) -> list[Diagnostic]:
@@ -195,15 +195,13 @@ def _check_unreachable(net: CommNet, alg: ast.Algorithm | None) -> list[Diagnost
     return out
 
 
+def _too_large(exc: NetTooLarge) -> list[Diagnostic]:
+    return [PM084.at(0, f"net analysis skipped: {exc}")]
+
+
 def _check_lowered(
     net: CommNet, bound: AbstractBoundModel, algorithm: ast.Algorithm | None
 ) -> list[Diagnostic]:
-    if len(net.events) > MAX_NET_EVENTS:
-        return [PM084.at(
-            0,
-            f"net analysis skipped: the scheme unrolls to "
-            f"{len(net.events)} events (cap {MAX_NET_EVENTS})",
-        )]
     out = _check_deadlock(net)
     out += _check_orphans(net)
     out += _check_multiplicity(net, bound)
@@ -215,7 +213,11 @@ def check_net(
     bound: AbstractBoundModel, algorithm: ast.Algorithm | None = None
 ) -> list[Diagnostic]:
     """Run every PM08x structural check on one bound model's net."""
-    return _check_lowered(lower_model(bound), bound, algorithm)
+    try:
+        net = lower_model(bound, MAX_NET_EVENTS)
+    except NetTooLarge as exc:
+        return _too_large(exc)
+    return _check_lowered(net, bound, algorithm)
 
 
 def check_model_net(
@@ -223,8 +225,10 @@ def check_model_net(
 ) -> list[Diagnostic]:
     """Bind (probe values unless given), lower, and check one model."""
     try:
-        bound, net = unroll(pm, bindings)
+        bound, net = unroll(pm, bindings, MAX_NET_EVENTS)
         return _check_lowered(net, bound, pm.algorithm)
+    except NetTooLarge as exc:
+        return _too_large(exc)
     except PMDLError as exc:
         return [PM084.at(
             0, f"net analysis skipped: {exc}",

@@ -21,7 +21,7 @@ from .tokens import Token, TokenKind
 __all__ = ["parse", "parse_expression", "MAX_NESTING"]
 
 #: Nesting budget of a definition.  Every later pass (semantic check,
-#: analyzer, interpreter, printer) recurses over the AST, so this bound is
+#: analyzer, code generator, printer) recurses over the AST, so this bound is
 #: what keeps a hostile model inside the Python stack for all of them.  A
 #: nested statement, a unary or right-associative operator and each further
 #: operator of a chain spend one level — one level of AST depth each; a
@@ -33,21 +33,27 @@ _BRACKET_COST = 5
 
 _TYPE_KEYWORDS = {"int", "double", "float", "long", "char", "void"}
 
+# binary operators by precedence level, loosest first
+_OR = frozenset({"||"})
+_AND = frozenset({"&&"})
+_EQUALITY = frozenset({"==", "!="})
+_RELATIONAL = frozenset({"<", ">", "<=", ">="})
+_ADDITIVE = frozenset({"+", "-"})
+_MULTIPLICATIVE = frozenset({"*", "/", "%"})
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: the current token, ``tokens[pos]``
+        self.tok = tokens[0]
         self.depth = 0
         self.struct_names: set[str] = set()
 
     # ------------------------------------------------------------------
     # token helpers
     # ------------------------------------------------------------------
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.pos]
-
     def peek(self, offset: int = 1) -> Token:
         idx = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[idx]
@@ -56,6 +62,7 @@ class _Parser:
         t = self.tok
         if t.kind != TokenKind.EOF:
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return t
 
     def error(self, msg: str) -> PMDLSyntaxError:
@@ -442,10 +449,10 @@ class _Parser:
             return ast.Conditional(cond, then, otherwise, line=line)
         return cond
 
-    def _binary_level(self, sub, ops: tuple[str, ...]) -> ast.Expr:
+    def _binary_level(self, sub, ops: frozenset[str]) -> ast.Expr:
         outer = self.depth
         left = sub()
-        while any(self.tok.is_punct(op) for op in ops):
+        while self.tok.kind is TokenKind.PUNCT and self.tok.text in ops:
             op = self.tok.text
             line = self.tok.line
             self.advance()
@@ -456,22 +463,22 @@ class _Parser:
         return left
 
     def parse_logical_or(self) -> ast.Expr:
-        return self._binary_level(self.parse_logical_and, ("||",))
+        return self._binary_level(self.parse_logical_and, _OR)
 
     def parse_logical_and(self) -> ast.Expr:
-        return self._binary_level(self.parse_equality, ("&&",))
+        return self._binary_level(self.parse_equality, _AND)
 
     def parse_equality(self) -> ast.Expr:
-        return self._binary_level(self.parse_relational, ("==", "!="))
+        return self._binary_level(self.parse_relational, _EQUALITY)
 
     def parse_relational(self) -> ast.Expr:
-        return self._binary_level(self.parse_additive, ("<", ">", "<=", ">="))
+        return self._binary_level(self.parse_additive, _RELATIONAL)
 
     def parse_additive(self) -> ast.Expr:
-        return self._binary_level(self.parse_multiplicative, ("+", "-"))
+        return self._binary_level(self.parse_multiplicative, _ADDITIVE)
 
     def parse_multiplicative(self) -> ast.Expr:
-        return self._binary_level(self.parse_unary, ("*", "/", "%"))
+        return self._binary_level(self.parse_unary, _MULTIPLICATIVE)
 
     def parse_unary(self) -> ast.Expr:
         t = self.tok

@@ -39,6 +39,7 @@ EXPECTED = {
     "dead_rule": ("PM032", WARNING, 5),
     "nonterminating": ("PM033", ERROR, 5),
     "wrong_direction": ("PM033", ERROR, 6),
+    "self_assign_step": ("PM033", ERROR, 8),
     "unused_param": ("PM040", WARNING, 1),
     "unused_coord": ("PM041", WARNING, 2),
     "unused_linkvar": ("PM042", WARNING, 4),

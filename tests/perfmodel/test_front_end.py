@@ -5,7 +5,10 @@
 repo ships — the three app models, ``examples/models`` and the defect
 fixtures — they must agree finding for finding; and over token-level
 mutations of those sources neither may let anything but a coded
-diagnostic / a :class:`PMDLError` out.
+diagnostic / a :class:`PMDLError` out.  Every mutant that compiles is
+also run by its generated code and by the reference interpreter
+(``reference.py``) at its probe binding: the streams must be equal, or
+both runs must fail.
 """
 
 from pathlib import Path
@@ -24,12 +27,16 @@ from repro.perfmodel import (
     tokenize,
 )
 from repro.perfmodel.diagnostics import Severity
+from repro.perfmodel.netcheck import probe_bindings
 from repro.util.errors import (
     PMDLAnalysisError,
     PMDLError,
     PMDLSemanticError,
     PMDLSyntaxError,
 )
+
+from .reference import ReferenceModel
+from .streams import record_bound
 
 ROOT = Path(__file__).parents[2]
 
@@ -89,6 +96,29 @@ def _untokenize(tokens) -> str:
     return " ".join(t.text for t in tokens)
 
 
+def _walk(make):
+    """The stream of the model ``make()`` binds, ``"failed"`` when binding
+    or walking raises a PMDLError (or runs away), ``"crashed"`` for any
+    other exception."""
+    try:
+        stream = record_bound(make(), max_calls=20_000)
+    except PMDLError:
+        return "failed"
+    except Exception:
+        return "crashed"
+    return "failed" if "error" in stream else stream
+
+
+def _assert_executors_agree(model) -> None:
+    try:
+        probe_bindings(model)
+    except PMDLError:
+        return  # no probe binding: nothing to run
+    generated = _walk(lambda: model.bind(**probe_bindings(model)))
+    reference = _walk(lambda: ReferenceModel(model, probe_bindings(model)))
+    assert generated == reference
+
+
 class TestTotalOnMutants:
     @given(
         name=st.sampled_from(sorted(SOURCES)),
@@ -115,9 +145,11 @@ class TestTotalOnMutants:
 
         report = check_source(mutant)  # must not raise
         try:
-            compile_source(mutant, stub_externals(mutant))
+            models = compile_source(mutant, stub_externals(mutant))
         except PMDLError:
             assert report.errors, mutant
         else:
             assert not any(d.severity >= Severity.ERROR
                            for d in report.diagnostics), mutant
+            for model in models.values():
+                _assert_executors_agree(model)

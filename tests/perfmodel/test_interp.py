@@ -1,53 +1,17 @@
-"""Expression/statement evaluator semantics."""
+"""Expression/statement semantics of the generated executor."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.perfmodel import ast, compile_model
-from repro.perfmodel.interp import (
-    ActionVisitor,
-    Environment,
-    Interpreter,
-    Ref,
-    StructValue,
-)
-from repro.perfmodel.model import LinearActionVisitor
-from repro.perfmodel.parser import parse, parse_expression
+from repro.perfmodel.interp import Ref, StructValue
+from repro.perfmodel.model import PerformanceModel
 from repro.util.errors import PMDLRuntimeError
 
-
-def ev(src, env=None, externals=None, structs=None):
-    interp = Interpreter(structs or {}, externals or {})
-    return interp.eval(parse_expression(src), env or Environment())
-
-
-class RecordingVisitor(ActionVisitor):
-    def __init__(self):
-        self.events = []
-
-    def compute(self, percent, coords):
-        self.events.append(("C", percent, coords))
-
-    def transfer(self, percent, src, dst):
-        self.events.append(("T", percent, src, dst))
-
-
-def run_scheme(body_src, params=None, externals=None, structs_src=""):
-    src = f"""
-    {structs_src}
-    algorithm A(int p) {{
-      coord I=p;
-      node {{I>=0: bench*(1);}};
-      scheme {{ {body_src} }};
-    }}
-    """
-    items = parse(src)
-    alg = items[-1]
-    structs = {s.name: s for s in items[:-1]}
-    interp = Interpreter(structs, externals or {})
-    env = Environment(params or {"p": 3})
-    visitor = RecordingVisitor()
-    interp.exec_block(alg.scheme.body, env, visitor)
-    return visitor.events
+from .evalgen import Recorder, ev, model, run_scheme
 
 
 class TestArithmetic:
@@ -86,10 +50,10 @@ class TestArithmetic:
 
 class TestComparisonsAndLogic:
     def test_comparisons_yield_ints(self):
-        assert ev("3 > 2") == 1
-        assert ev("3 < 2") == 0
-        assert ev("2 >= 2") == 1
-        assert ev("1 != 2") == 1
+        for src, want in (("3 > 2", 1), ("3 < 2", 0), ("2 >= 2", 1),
+                          ("1 != 2", 1), ("0 || 2", 1), ("2 && 3", 1)):
+            v = ev(src)
+            assert v == want and type(v) is int, src
 
     def test_short_circuit_and(self):
         # RHS would divide by zero; short circuit must skip it.
@@ -105,30 +69,27 @@ class TestComparisonsAndLogic:
 
 class TestNamesAndIndexing:
     def test_lookup(self):
-        env = Environment({"x": 5})
-        assert ev("x + 1", env) == 6
+        assert ev("x + 1", {"x": 5}) == 6
 
     def test_undefined(self):
-        with pytest.raises(PMDLRuntimeError):
+        with pytest.raises(PMDLRuntimeError, match="undefined variable 'nope'"):
             ev("nope")
 
     def test_nested_indexing(self):
-        import numpy as np
-
-        env = Environment({"dep": np.array([[1, 2], [3, 4]])})
-        assert ev("dep[1][0]", env) == 3
+        assert ev("dep[1][0]", {"dep": np.array([[1, 2], [3, 4]])}) == 3
 
     def test_numpy_scalar_unwrapped_to_int(self):
-        import numpy as np
-
-        env = Environment({"d": np.array([10, 20])})
-        v = ev("d[1] / d[0]", env)
+        v = ev("d[1] / d[0]", {"d": np.array([10, 20])})
         assert v == 2 and isinstance(v, int)
+        # a partial index of an array parameter is the array row itself
+        row = ev("dep[1]", {"dep": np.array([[1, 2], [3, 4]])})
+        assert isinstance(row, np.ndarray) and row.tolist() == [3, 4]
 
     def test_bad_index(self):
-        env = Environment({"d": [1, 2]})
-        with pytest.raises(PMDLRuntimeError):
-            ev("d[5]", env)
+        with pytest.raises(PMDLRuntimeError, match=r"bad index 5 \(line"):
+            ev("d[5]", {"d": [1, 2]})
+        with pytest.raises(PMDLRuntimeError, match="bad index"):
+            ev("d[1 / 2]", {"d": [1, 2]})  # a float index
 
     def test_sizeof(self):
         assert ev("sizeof(double)") == 8
@@ -136,21 +97,25 @@ class TestNamesAndIndexing:
 
 
 class TestStructsAndRefs:
+    STRUCT = "typedef struct {int I; int J;} P;"
+
     def test_member_access(self):
-        s = StructValue("P", ["I", "J"])
-        s.set("I", 4)
-        env = Environment({"Root": s})
-        assert ev("Root.I", env) == 4
+        def fill(root):
+            root.set("I", 4)
+
+        assert ev("Root.I", externals={"Fill": fill}, structs_src=self.STRUCT,
+                  decls="P Root; Fill(&Root);") == 4
 
     def test_member_on_non_struct(self):
-        env = Environment({"x": 3})
-        with pytest.raises(PMDLRuntimeError):
-            ev("x.I", env)
+        with pytest.raises(PMDLRuntimeError, match="member access on non-struct"):
+            ev("x.I", {"x": 3})
 
     def test_unknown_field(self):
         s = StructValue("P", ["I"])
         with pytest.raises(PMDLRuntimeError):
             s.get("Z")
+        with pytest.raises(PMDLRuntimeError, match="no field 'Z'"):
+            ev("Root.Z", structs_src=self.STRUCT, decls="P Root;")
 
     def test_ref_roundtrip(self):
         store = {"v": 1}
@@ -162,107 +127,104 @@ class TestStructsAndRefs:
 
 class TestSchemeExecution:
     def test_compute_action(self):
-        events = run_scheme("100%%[0];")
-        assert events == [("C", 100.0, (0,))]
+        assert run_scheme("100%%[0];") == [("C", 100.0, 0)]
 
     def test_transfer_action(self):
-        events = run_scheme("25%%[0]->[2];")
-        assert events == [("T", 25.0, (0,), (2,))]
+        assert run_scheme("25%%[0]->[2];") == [("T", 25.0, 0, 2)]
 
     def test_par_loop_emits_per_iteration(self):
         events = run_scheme("par (int i = 0; i < p; i++) 100%%[i];")
-        assert events == [("C", 100.0, (i,)) for i in range(3)]
+        assert events == [("C", 100.0, i) for i in range(3)]
 
     def test_for_loop_with_update_in_body(self):
         events = run_scheme(
             "par (int i = 0; i < p; ) { 100%%[i]; i += 2; }"
         )
-        assert [e[2] for e in events] == [(0,), (2,)]
+        assert [e[2] for e in events] == [0, 2]
 
     def test_if_filters(self):
         events = run_scheme(
             "for (int i = 0; i < p; i++) if (i != 1) 100%%[i];"
         )
-        assert [e[2] for e in events] == [(0,), (2,)]
+        assert [e[2] for e in events] == [0, 2]
 
     def test_postfix_increment_returns_old(self):
-        events = run_scheme("int i = 5; 100%%[i++]; 100%%[i];")
-        assert [e[2] for e in events] == [(5,), (6,)]
+        events = run_scheme("int i = 1; 100%%[i++]; 100%%[i];")
+        assert [e[2] for e in events] == [1, 2]
+        assert ev("i--", decls="int i = 5;") == 5
 
     def test_external_call_with_struct_out_param(self):
         def SetCoords(value, root):
             root.set("I", value * 2)
 
         events = run_scheme(
-            "P Root; SetCoords(3, &Root); 100%%[Root.I];",
+            "P Root; SetCoords(1, &Root); 100%%[Root.I];",
             externals={"SetCoords": SetCoords},
             structs_src="typedef struct {int I;} P;",
         )
-        assert events == [("C", 100.0, (6,))]
+        assert events == [("C", 100.0, 2)]
 
     def test_scalar_ref_out_param(self):
         def Bump(ref):
-            ref.set(ref.get() + 10)
+            ref.set(ref.get() + 1)
 
         events = run_scheme(
             "int x = 1; Bump(&x); 100%%[x];",
             externals={"Bump": Bump},
         )
-        assert events == [("C", 100.0, (11,))]
+        assert events == [("C", 100.0, 2)]
 
     def test_while_loop(self):
         events = run_scheme("int i = 0; while (i < 2) { 100%%[i]; i++; }")
         assert len(events) == 2
 
     def test_infinite_loop_detected(self):
-        with pytest.raises(PMDLRuntimeError):
+        with pytest.raises(PMDLRuntimeError, match="never terminates"):
             run_scheme("for (;;) ;")
 
     def test_variable_scoping_inner_blocks(self):
         events = run_scheme(
             "int i = 1; { int i = 2; 100%%[i]; } 100%%[i];"
         )
-        assert [e[2] for e in events] == [(2,), (1,)]
+        assert [e[2] for e in events] == [2, 1]
 
     def test_compound_assignment(self):
-        events = run_scheme("int x = 4; x *= 3; 100%%[x];")
-        assert events[0][2] == (12,)
+        events = run_scheme("int x = 4; x *= 3; x /= 6; 100%%[x];")
+        assert events[0][2] == 2
 
 
-class LinearRecorder(LinearActionVisitor):
-    def __init__(self):
-        self.events = []
-
-    def compute(self, percent, proc):
-        self.events.append(("C", percent, proc))
-
-    def transfer(self, percent, src, dst):
-        self.events.append(("T", percent, src, dst))
-
-
-class TestLoweredOnce:
-    """Nodes are lowered to closures once per interpreter/model."""
+class TestGeneratedOnce:
+    """A model's functions are generated once and shared by every bind."""
 
     def test_unknown_node_kind_raises_when_reached(self):
         class Mystery(ast.Expr):
             pass
 
-        interp = Interpreter()
+        pm, values = model("int y = 0;")
+        body = pm.algorithm.scheme.body
+        # ...only when reached: the short-circuit never evaluates it.
+        body.append(ast.ExprStmt(ast.Binary("&&", ast.IntLit(0),
+                                            Mystery(line=7))))
+        pm.bind(**values).walk_scheme(Recorder())
+        pm, values = model("int y = 0;")
+        pm.algorithm.scheme.body.append(ast.ExprStmt(Mystery(line=7)))
         with pytest.raises(PMDLRuntimeError,
                            match=r"cannot evaluate Mystery \(line 7\)"):
-            interp.eval(Mystery(line=7), Environment())
-        # ...and only when reached: the short-circuit never evaluates it.
-        guarded = ast.Binary("&&", ast.IntLit(0), Mystery(line=7))
-        assert interp.eval(guarded, Environment()) == 0
-        with pytest.raises(PMDLRuntimeError, match="cannot execute Mystery"):
-            interp.exec(Mystery(line=7), Environment(), RecordingVisitor())
+            pm.bind(**values).walk_scheme(Recorder())
 
-    def test_same_node_same_closure(self):
-        interp = Interpreter()
-        expr = parse_expression("a*2 + (a > 1 ? a : -a)")
-        assert interp.lower(expr) is interp.lower(expr)
-        assert interp.eval(expr, Environment({"a": 3})) == 9
-        assert interp.eval(expr, Environment({"a": -3})) == -3
+        class Odd(ast.Stmt):
+            pass
+
+        pm, values = model("int y = 0;")
+        pm.algorithm.scheme.body.append(Odd(line=9))
+        bound = pm.bind(**values)  # generating the scheme does not raise
+        with pytest.raises(PMDLRuntimeError, match=r"cannot execute Odd \(line 9\)"):
+            bound.walk_scheme(Recorder())
+
+    def test_same_model_same_code(self):
+        pm, values = model("100%%[0];")
+        first = pm.bind(**values)
+        assert pm.bind(**values)._code is first._code is pm.code
 
     def test_register_external_after_first_evaluation(self):
         pm = compile_model("""
@@ -274,7 +236,7 @@ class TestLoweredOnce:
         """, externals={"Scale": lambda i: 1})
 
         def percents():
-            recorder = LinearRecorder()
+            recorder = Recorder()
             pm.bind(2).walk_scheme(recorder)
             return [e[1] for e in recorder.events]
 
@@ -282,7 +244,7 @@ class TestLoweredOnce:
         pm.register_external("Scale", lambda i: 2)
         assert percents() == [100.0, 100.0]
 
-    def test_binds_share_the_lowered_closures(self):
+    def test_binds_share_one_namespace(self):
         from repro.apps.matmul import (
             MM_MODEL_SOURCE,
             heterogeneous_distribution,
@@ -299,12 +261,24 @@ class TestLoweredOnce:
             bound = pm.bind(dist.m, 2, dist.n, dist.l, list(dist.w), dist.h4())
             bound.node_volumes()
             bound.link_volumes()
-            recorder = LinearRecorder()
+            recorder = Recorder()
             bound.walk_scheme(recorder)
-            return recorder.events
+            return bound, recorder.events
 
-        first = bind_and_walk()
-        lowered = dict(pm.interpreter._lowered)
-        assert first and lowered
-        assert bind_and_walk() == first
-        assert pm.interpreter._lowered == lowered
+        a, first = bind_and_walk()
+        b, second = bind_and_walk()
+        assert first and second == first
+        assert a._code.scheme.__globals__ is b._code.scheme.__globals__
+        assert a._code.namespace is pm.code.namespace
+
+    def test_code_freed_with_its_model(self):
+        pm, values = model("100%%[0];")
+        pm.bind(**values).walk_scheme(Recorder())
+        scheme = weakref.ref(pm.code.scheme)
+        del pm
+        gc.collect()
+        assert scheme() is None
+
+    def test_generation_is_lazy(self):
+        pm, _ = model("100%%[0];")
+        assert isinstance(pm, PerformanceModel) and pm._code is None

@@ -1,20 +1,13 @@
-"""Property-based tests of the PMDL expression evaluator against Python
+"""Property-based tests of generated PMDL expression code against Python
 reference semantics."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.perfmodel.interp import Environment, Interpreter
-from repro.perfmodel.parser import parse_expression
-
-interp = Interpreter()
+from tests.perfmodel.evalgen import ev, run_scheme
 
 small_ints = st.integers(-50, 50)
 pos_ints = st.integers(1, 50)
-
-
-def ev(src, env=None):
-    return interp.eval(parse_expression(src), env or Environment())
 
 
 class TestArithmeticAgainstPython:
@@ -73,15 +66,12 @@ class TestEnvironment:
         small_ints, min_size=1,
     ))
     def test_lookup_returns_bound_values(self, bindings):
-        env = Environment(bindings)
         for name, value in bindings.items():
-            assert ev(name, env) == value
+            assert ev(name, bindings) == value
 
     @given(small_ints)
     def test_scope_shadowing(self, v):
-        env = Environment({"x": v})
-        env.push()
-        env.declare("x", v + 1)
-        assert env.lookup("x") == v + 1
-        env.pop()
-        assert env.lookup("x") == v
+        seen = []
+        run_scheme(f"int x = {v}; {{ int x = {v} + 1; Seen(x); }} Seen(x);",
+                   externals={"Seen": seen.append})
+        assert seen == [v + 1, v]
