@@ -1,6 +1,12 @@
 """Parallel matrix multiplication: the paper's regular application (Section 4)."""
 
-from .algorithm import assemble_matrix, matmul_algorithm, matrix_block, reference_product
+from .algorithm import (
+    assemble_matrix,
+    matmul_algorithm,
+    matrix_block,
+    matrix_stack,
+    reference_product,
+)
 from .distribution import (
     BlockDistribution,
     heights_tensor,
@@ -25,6 +31,7 @@ __all__ = [
     "heights_tensor",
     "homogeneous_distribution",
     "heterogeneous_distribution",
+    "matrix_stack",
     "matrix_block",
     "assemble_matrix",
     "reference_product",

@@ -1,12 +1,17 @@
 """Parallel matrix multiplication: numerics against NumPy ground truth."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.matmul.algorithm import (
     assemble_matrix,
     matmul_algorithm,
     matrix_block,
+    matrix_stack,
     reference_product,
 )
 from repro.apps.matmul.distribution import (
@@ -15,6 +20,7 @@ from repro.apps.matmul.distribution import (
 )
 from repro.cluster import homogeneous_network
 from repro.mpi import run_mpi
+from repro.util.errors import ReproError
 
 
 def gathered_product(dist, r, seed, cluster=None):
@@ -45,9 +51,59 @@ class TestMatrixBlocks:
         assert not (a == b).all()
         assert not (a == c).all()
 
+    def test_a_differs_from_b(self):
+        a = matrix_stack(4, 0, range(3), range(3), 5)
+        b = matrix_stack(4, 1, range(3), range(3), 5)
+        assert not np.isin(a, b).any()
+
     def test_assemble_matches_blocks(self):
         m = assemble_matrix(2, 0, 3, 2)
-        assert (m[2:4, 0:2] == matrix_block(2, 0, 1, 0, 2)).all()
+        for i in range(3):
+            for j in range(3):
+                assert (m[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+                        == matrix_block(2, 0, i, j, 2)).all()
+
+
+blocks = st.lists(st.integers(0, 40), min_size=1, max_size=5)
+
+
+class TestMatrixStack:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, -1, 2**63 - 1]),
+                          st.integers(-2**70, 2**70)),
+           which=st.sampled_from([0, 1]), rows=blocks, cols=blocks,
+           r=st.integers(1, 4))
+    def test_stack_is_blockwise(self, seed, which, rows, cols, r):
+        """Any layout draws the same blocks, bit for bit."""
+        stack = matrix_stack(seed, which, rows, cols, r)
+        assert stack.shape == (len(rows), len(cols), r, r)
+        for x, i in enumerate(rows):
+            for y, j in enumerate(cols):
+                assert (stack[x, y].view(np.uint64)
+                        == matrix_block(seed, which, i, j, r).view(np.uint64)
+                        ).all()
+
+    def test_standard_normal_moments(self):
+        z = matrix_stack(9, 0, range(25), range(50), 9).ravel()
+        assert z.size > 10**5
+        assert np.isfinite(z).all()
+        assert abs(z.mean()) < 0.02
+        assert abs(z.var() - 1.0) < 0.03
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**63 - 1, 2**63, -2**80])
+    def test_no_warnings(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix_stack(seed, 1, [0, 5], range(4), 3)
+
+    @pytest.mark.parametrize("rows,r", [([2**31], 2), ([2**32 - 1], 1),
+                                        ([-1], 3)])
+    def test_index_outside_counter_rejected(self, rows, r):
+        with pytest.raises(ReproError):
+            matrix_stack(0, 0, rows, [0], r)
+
+    def test_largest_index_accepted(self):
+        assert matrix_stack(0, 0, [2**32 - 2], [0], 1).shape == (1, 1, 1, 1)
 
 
 class TestHomogeneousAlgorithm:

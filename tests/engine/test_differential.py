@@ -19,7 +19,7 @@ from repro.cluster import (
     uniform_network,
 )
 from repro.core import run_hmpi
-from repro.mpi import ANY_SOURCE, run_mpi
+from repro.mpi import ANY_SOURCE, Status, run_mpi
 from repro.mpi.ops import SUM, MAX
 from repro.mpi.pool import Task, WorkerPool
 from repro.perfmodel import CallableModel
@@ -65,21 +65,23 @@ def scenario_ring(env):
 def scenario_wildcard_fanin(env):
     """ANY_SOURCE fan-in: service order must follow virtual arrivals.
 
-    The real-time sleep mirrors the worker pool's fidelity aid: under the
-    thread backend it lets every sender enqueue before the wildcard
-    receive posts, so min-virtual-arrival matching applies — the same
-    order the event backend produces by construction.
+    Every sender posts its message before entering the barrier, and rank 0
+    receives only after leaving it, so all messages are queued before the
+    first wildcard receive under either backend and min-virtual-arrival
+    matching decides the order.
     """
-    import time
-
+    comm = env.comm_world
     if env.rank == 0:
+        comm.barrier()
         got = []
         for _ in range(env.size - 1):
-            time.sleep(0.005)
-            got.append(env.comm_world.recv(ANY_SOURCE))
+            status = Status()
+            payload = comm.recv(ANY_SOURCE, status=status)
+            got.append((payload, status.arrival_vtime))
         return (got, env.wtime())
     env.compute(3.0 * ((env.rank * 7) % 5 + 1))
-    env.comm_world.send((env.rank, env.wtime()), 0, nbytes=1 << 10)
+    comm.send((env.rank, env.wtime()), 0, nbytes=1 << 10)
+    comm.barrier()
     return None
 
 
@@ -209,6 +211,14 @@ class TestDifferentialMPI:
     def test_backends_agree(self, name):
         app, factory = MPI_SCENARIOS[name]
         run_both(app, factory)
+
+    def test_wildcard_fanin_in_arrival_order(self):
+        app, factory = MPI_SCENARIOS["wildcard_fanin"]
+        got, _ = run_both(app, factory).results[0]
+        arrivals = [arrival for _, arrival in got]
+        assert len(got) == factory().size - 1
+        assert arrivals == sorted(arrivals)
+        assert len(set(arrivals)) == len(arrivals)
 
     @pytest.mark.parametrize("name", sorted(FT_SCENARIOS))
     def test_backends_agree_under_faults(self, name):
