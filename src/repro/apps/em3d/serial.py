@@ -35,11 +35,11 @@ def update_field(
     m = len(neighbours)
     if m == 0:
         return values * 0.98 + boundary_term
-    idx = np.arange(n)
-    a = neighbours[idx % m]
-    b = neighbours[(idx + 1) % m]
-    c = neighbours[(idx + 2) % m]
-    mixed = weights[:, 0] * a + weights[:, 1] * b + weights[:, 2] * c
+    # One cyclic window: t[i] == neighbours[i % m], so node i reads
+    # t[i], t[i + 1] and t[i + 2] without any index arithmetic.
+    t = np.resize(neighbours, n + 2)
+    mixed = (weights[:, 0] * t[:n] + weights[:, 1] * t[1:n + 1]
+             + weights[:, 2] * t[2:n + 2])
     # Damped relaxation keeps values bounded over many iterations.
     return 0.5 * values + 0.5 * np.tanh(mixed + boundary_term)
 

@@ -112,6 +112,8 @@ class Link:
 
     def protocol_for(self, nbytes: int) -> Protocol:
         """The protocol a message of ``nbytes`` will travel over."""
+        if len(self.protocols) == 1:
+            return self.protocols[0]
         if self._pinned is not None:
             for p in self.protocols:
                 if p.name == self._pinned:

@@ -567,7 +567,7 @@ class HMPI:
         retries = 0
         while True:
             try:
-                payload, _ = world._recv_internal(HOST_RANK, tag)
+                payload = world._recv_internal(HOST_RANK, tag)
             except RankFailedError as exc:
                 if HOST_RANK in exc.ranks:
                     raise HMPIRepairError(
@@ -865,7 +865,7 @@ class HMPI:
                 collected = False
                 for _ in range(_MAX_PROTO_RETRIES):
                     try:
-                        payload, _ = world._recv_internal(r, _TAG_REPAIR)
+                        payload = world._recv_internal(r, _TAG_REPAIR)
                     except RankFailedError as exc:
                         self._mark_ranks_dead(exc.ranks)
                         with self.state.lock:

@@ -201,7 +201,7 @@ def _bcast_members(
     mask = 1
     while mask < size:
         if v & mask:
-            obj, _ = comm._recv_internal(order[v - mask], tag)
+            obj = comm._recv_internal(order[v - mask], tag)
             break
         mask <<= 1
     mask >>= 1
@@ -232,7 +232,7 @@ def _reduce_members(
             break
         child = v | mask
         if child < size:
-            val, _ = comm._recv_internal(order[child], tag)
+            val = comm._recv_internal(order[child], tag)
             acc = op(acc, val)
         mask <<= 1
     return acc
@@ -372,7 +372,7 @@ def bcast(comm: "Comm", obj: Any, root: int = 0, nbytes: int | None = None,
     while mask < size:
         if vrank & mask:
             parent = (rank - mask) % size
-            obj, _ = comm._recv_internal(parent, tag)
+            obj = comm._recv_internal(parent, tag)
             break
         mask <<= 1
     # Send phase: forward to peers at decreasing distances.
@@ -395,7 +395,7 @@ def _bcast_flat(comm: "Comm", obj: Any, root: int, nbytes: int | None) -> Any:
             if r != root:
                 comm._send_internal(obj, r, tag, nbytes=nbytes)
         return obj
-    value, _ = comm._recv_internal(root, tag)
+    value = comm._recv_internal(root, tag)
     return value
 
 
@@ -408,7 +408,7 @@ def _bcast_chain(comm: "Comm", obj: Any, root: int, nbytes: int | None) -> Any:
         return obj
     vrank = (rank - root) % size
     if vrank != 0:
-        obj, _ = comm._recv_internal((rank - 1) % size, tag)
+        obj = comm._recv_internal((rank - 1) % size, tag)
     if vrank != size - 1:
         comm._send_internal(obj, (rank + 1) % size, tag, nbytes=nbytes)
     return obj
@@ -471,7 +471,7 @@ def reduce(comm: "Comm", obj: Any, op: Op, root: int = 0,
             break
         child_v = vrank | mask
         if child_v < size:
-            child_val, _ = comm._recv_internal((child_v + root) % size, tag)
+            child_val = comm._recv_internal((child_v + root) % size, tag)
             acc = op(acc, child_val)
         mask <<= 1
     return acc if rank == root else None
@@ -487,7 +487,7 @@ def _reduce_flat(comm: "Comm", obj: Any, op: Op, root: int) -> Any:
         return None
     acc = None
     for r in range(comm.size):
-        val = obj if r == root else comm._recv_internal(r, tag)[0]
+        val = obj if r == root else comm._recv_internal(r, tag)
         acc = val if acc is None else op(acc, val)
     return acc
 
@@ -538,7 +538,7 @@ def gather(comm: "Comm", obj: Any, root: int = 0) -> list[Any] | None:
         out[root] = obj
         for r in range(comm.size):
             if r != root:
-                out[r], _ = comm._recv_internal(r, tag)
+                out[r] = comm._recv_internal(r, tag)
         return out
     comm._send_internal(obj, root, tag)
     return None
@@ -557,7 +557,7 @@ def scatter(comm: "Comm", objs: list[Any] | None, root: int = 0) -> Any:
             if r != root:
                 comm._send_internal(objs[r], r, tag)
         return objs[root]
-    value, _ = comm._recv_internal(root, tag)
+    value = comm._recv_internal(root, tag)
     return value
 
 
@@ -595,7 +595,7 @@ def _allgather_ring(comm: "Comm", obj: Any, tag: int) -> list[Any]:
     carry_index = rank
     for _ in range(size - 1):
         comm._send_internal((carry_index, out[carry_index]), right, tag)
-        (recv_index, value), _ = comm._recv_internal(left, tag)
+        recv_index, value = comm._recv_internal(left, tag)
         out[recv_index] = value
         carry_index = recv_index
     return out
@@ -617,7 +617,7 @@ def _allgather_hierarchical(comm: "Comm", obj: Any, tag: int) -> list[Any]:
     if rank == leader:
         blocks = {rank: obj}
         for r in my_part[1:]:
-            blocks[r], _ = comm._recv_internal(r, tag)
+            blocks[r] = comm._recv_internal(r, tag)
     else:
         comm._send_internal(obj, leader, tag)
         blocks = None
@@ -632,7 +632,7 @@ def _allgather_hierarchical(comm: "Comm", obj: Any, tag: int) -> list[Any]:
         blocks = dict(blocks)
         for _ in range(len(leaders) - 1):
             comm._send_internal(carry, right, tag)
-            carry, _ = comm._recv_internal(left, tag)
+            carry = comm._recv_internal(left, tag)
             blocks.update(carry)
     # Phase 3: leaders broadcast the assembled table within their part.
     blocks = _bcast_members(comm, blocks, my_part, tag, None)
@@ -660,7 +660,7 @@ def alltoall(comm: "Comm", objs: list[Any]) -> list[Any]:
         dst = (rank + k) % size
         src = (rank - k) % size
         comm._send_internal(objs[dst], dst, tag)
-        out[src], _ = comm._recv_internal(src, tag)
+        out[src] = comm._recv_internal(src, tag)
     return out
 
 
@@ -669,7 +669,7 @@ def scan(comm: "Comm", obj: Any, op: Op) -> Any:
     tag = comm._next_coll_tag()
     acc = obj
     if comm.rank > 0:
-        prev, _ = comm._recv_internal(comm.rank - 1, tag)
+        prev = comm._recv_internal(comm.rank - 1, tag)
         acc = op(prev, acc)
     if comm.rank < comm.size - 1:
         comm._send_internal(acc, comm.rank + 1, tag)
@@ -682,7 +682,7 @@ def exscan(comm: "Comm", obj: Any, op: Op) -> Any:
     tag = comm._next_coll_tag()
     prev: Any = None
     if comm.rank > 0:
-        prev, _ = comm._recv_internal(comm.rank - 1, tag)
+        prev = comm._recv_internal(comm.rank - 1, tag)
     if comm.rank < comm.size - 1:
         here = obj if prev is None else op(prev, obj)
         comm._send_internal(here, comm.rank + 1, tag)

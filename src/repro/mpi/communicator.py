@@ -18,6 +18,7 @@ from typing import Any
 
 from ..util.errors import MPICommError
 from . import collectives as _coll
+from .datatypes import decode_payload
 from .engine import Engine, WORLD_CONTEXT
 from .group import Group
 from .ops import Op
@@ -44,6 +45,9 @@ class Comm:
             )
         self._engine = engine
         self._group = group
+        # The send/recv path translates through these on every call.
+        self._ranks = group.world_ranks
+        self._size = group.size
         self._context = context
         self._world_rank = world_rank
         self._rank = group.rank_of(world_rank)
@@ -62,7 +66,7 @@ class Comm:
     @property
     def size(self) -> int:
         """Number of processes in the communicator (MPI_Comm_size)."""
-        return self._group.size
+        return self._size
 
     @property
     def group(self) -> Group:
@@ -89,11 +93,11 @@ class Comm:
     def _translate_out(self, comm_rank: int) -> int:
         if comm_rank == ANY_SOURCE:
             return ANY_SOURCE
-        if not 0 <= comm_rank < self.size:
+        if not 0 <= comm_rank < self._size:
             raise MPICommError(
-                f"rank {comm_rank} out of range for communicator size {self.size}"
+                f"rank {comm_rank} out of range for communicator size {self._size}"
             )
-        return self._group.world_rank(comm_rank)
+        return self._ranks[comm_rank]
 
     def _localize_status(self, status: Status) -> Status:
         """Convert the engine's world-rank status to communicator ranks."""
@@ -134,15 +138,14 @@ class Comm:
             return None
         wsrc = self._translate_out(source)
         posted = self._engine.post_recv(self._world_rank, self._context, wsrc, tag)
-        value, st = self._engine.wait_recv(self._world_rank, posted,
-                                           timeout=timeout)
+        msg = self._engine.wait_message(self._world_rank, posted,
+                                        timeout=timeout)
         if status is not None:
-            local = self._localize_status(st)
-            status.source = local.source
-            status.tag = local.tag
-            status.nbytes = local.nbytes
-            status.arrival_vtime = local.arrival_vtime
-        return value
+            status.source = self._group.rank_of(msg.src)
+            status.tag = msg.tag
+            status.nbytes = msg.nbytes
+            status.arrival_vtime = msg.arrival
+        return decode_payload(msg.payload)
 
     def ssend(self, obj: Any, dest: int, tag: int = 0, nbytes: int | None = None) -> None:
         """Synchronous-mode send (MPI_Ssend): returns only after the
@@ -213,10 +216,11 @@ class Comm:
                                self._context, tag, obj, nbytes)
 
     def _recv_internal(self, source: int, tag: int,
-                       timeout: float | None = None) -> tuple[Any, Status]:
+                       timeout: float | None = None) -> Any:
         wsrc = self._translate_out(source)
         posted = self._engine.post_recv(self._world_rank, self._context, wsrc, tag)
-        return self._engine.wait_recv(self._world_rank, posted, timeout=timeout)
+        return decode_payload(self._engine.wait_message(
+            self._world_rank, posted, timeout=timeout).payload)
 
     def _next_coll_tag(self) -> int:
         self._check_alive()

@@ -337,15 +337,22 @@ class Engine:
         if not 0 <= dst < self.nprocs:
             raise MPIError(f"destination rank {dst} out of range")
         sproc = self.procs[src]
-        smach = self.cluster.machine(sproc.machine_index)
-        smach.check_alive(sproc.clock)
+        cluster = self.cluster
+        smach = cluster.machines[sproc.machine_index]
+        mortal = smach.fail_at is not None
+        if mortal:
+            smach.check_alive(sproc.clock)
         payload, size = encode_payload(obj, nbytes)
         dmach_idx = self.placement[dst]
-        dmach = self.cluster.machine(dmach_idx)
-        link = self.cluster.link(sproc.machine_index, dmach_idx)
+        dmach = cluster.machines[dmach_idx]
+        link = cluster.link(sproc.machine_index, dmach_idx)
         proto = link.protocol_for(size)
-        extra_delay = self._transient_delay(sproc, smach, dmach, src, dst)
-        smach.check_alive(sproc.clock)  # retransmission timers take time too
+        if cluster.transient_faults is None:
+            extra_delay = 0.0
+        else:
+            extra_delay = self._transient_delay(sproc, smach, dmach, src, dst)
+            if mortal:  # retransmission timers take time too
+                smach.check_alive(sproc.clock)
         # Messages between one ordered rank pair serialise on their link:
         # a transfer starts when both the sender has issued it and the
         # previous transfer to the same destination has fully arrived.
@@ -354,13 +361,14 @@ class Engine:
         depart = sproc.clock
         start = max(depart, sproc.last_arrival.get(dst, 0.0))
         arrival = start + proto.transfer_time(size) + extra_delay
-        if self.ft.fail_fast_sends and not dmach.alive_at(arrival):
+        if dmach.fail_at is not None and self.ft.fail_fast_sends \
+                and not dmach.alive_at(arrival):
             raise RankFailedError(
                 [dst], machine=dmach.name, vtime=dmach.fail_at,
                 op=f"send from rank {src} to rank {dst}",
             )
         sproc.last_arrival[dst] = arrival
-        if self.cluster.single_port:
+        if cluster.single_port:
             # The sender's interface is occupied until the transfer ends.
             sproc.clock = arrival
         else:
@@ -388,7 +396,7 @@ class Engine:
             self._deliver(msg)
         if ack_pr is not None:
             # Rendezvous: the sender's clock advances to the ack's arrival.
-            self.wait_recv(src, ack_pr)
+            self.wait_message(src, ack_pr)
 
     def _transient_delay(self, sproc: ProcessState, smach, dmach,
                          src: int, dst: int) -> float:
@@ -468,7 +476,17 @@ class Engine:
 
     def wait_recv(self, dst: int, pr: PostedRecv,
                   timeout: float | None = None) -> tuple[Any, Status]:
-        """Block until ``pr`` completes; charge arrival time; decode payload.
+        """:meth:`wait_message`, then decode the payload and describe the
+        match in a world-rank :class:`Status`."""
+        msg = self.wait_message(dst, pr, timeout)
+        status = Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes,
+                        arrival_vtime=msg.arrival)
+        return decode_payload(msg.payload), status
+
+    def wait_message(self, dst: int, pr: PostedRecv,
+                     timeout: float | None = None) -> Message:
+        """Block until ``pr`` completes; charge arrival time; return the
+        matched message (payload still encoded).
 
         ``timeout`` is a *virtual-time* budget: if the receive can never
         complete and a deadline was set, the wait resolves to
@@ -505,8 +523,9 @@ class Engine:
         wait_from = proc.clock
         if msg.arrival > proc.clock:
             proc.clock = msg.arrival
-        machine = self.cluster.machine(proc.machine_index)
-        machine.check_alive(proc.clock)
+        machine = self.cluster.machines[proc.machine_index]
+        if machine.fail_at is not None:
+            machine.check_alive(proc.clock)
         if msg.ack_seq is not None:
             # Synchronous send: acknowledge so the sender's rendezvous
             # completes; the ack costs one link latency back.
@@ -524,9 +543,7 @@ class Engine:
                 rank=dst, kind="recv", t0=wait_from, t1=proc.clock,
                 peer=msg.src, nbytes=msg.nbytes, tag=msg.tag,
             ))
-        status = Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes,
-                        arrival_vtime=msg.arrival)
-        return decode_payload(msg.payload), status
+        return msg
 
     def probe(self, dst: int, context: int, src: int, tag: int, block: bool,
               timeout: float | None = None) -> Status | None:

@@ -21,7 +21,15 @@ their condition true.  Two implementations share that contract:
     and orders of magnitude faster at scale.  A handoff costs one plain
     lock release and one acquire: each parked rank waits on its own
     ``threading.Lock``, created held, which the rank passing the baton
-    releases.
+    releases.  Rank tasks run on parked daemon workers from one
+    module-level pool that outlive a run: a worker runs one rank task,
+    then parks on its own lock until a later run needs it, so starting a
+    rank costs one lock release instead of a thread create/start/exit.
+    At most ``_SMALL_STACK_THRESHOLD`` (2048) workers park.  A worker past
+    that cap, one created with the reduced stack of a larger run, and one
+    whose task left anything in its ``contextvars`` context exit instead,
+    so every rank starts in an empty context as a fresh thread would.  A
+    forked child starts with an empty pool.
 
 Backend selection is uniform across entry points: ``engine="threads" |
 "events"`` on :class:`~repro.mpi.engine.Engine`, ``run_mpi``,
@@ -32,7 +40,11 @@ Backend selection is uniform across entry points: ``engine="threads" |
 
 from __future__ import annotations
 
+import contextvars
 import heapq
+import itertools
+import operator
+import os
 import threading
 import time
 from collections.abc import Callable
@@ -64,8 +76,87 @@ DEFAULT_ENGINE = "events"
 
 #: Above this rank count the event backend shrinks task-thread stacks so
 #: a 10k+-rank smoke run does not exhaust address space on small hosts.
+#: It is also the most workers the rank pool keeps parked.
 _SMALL_STACK_THRESHOLD = 2048
 _TASK_STACK_BYTES = 512 * 1024
+
+
+class _Worker:
+    """One daemon thread of the rank pool: runs a rank task, then parks.
+
+    ``wake`` is held while the worker is parked; a run hands it a job by
+    setting ``job`` and releasing ``wake``.  A release that lands before
+    the worker reaches ``acquire()`` is remembered, so no job is lost.
+    ``seq`` orders workers by creation.
+    """
+
+    __slots__ = ("wake", "job", "small", "seq")
+
+    def __init__(self, small: bool, seq: int):
+        self.wake = threading.Lock()
+        self.job: tuple | None = None
+        self.small = small
+        self.seq = seq
+
+    def main(self) -> None:
+        while True:
+            self.wake.acquire()
+            fn, a, b = self.job
+            self.job = None
+            # A positional call: ``fn(*args)`` adds an eval frame whose
+            # stack page every parked worker would keep touched.
+            fn(a, b)
+            # Drop the job so an idle worker keeps no engine alive.
+            fn = a = b = None
+            if not _RANK_POOL.park(self):
+                return
+
+
+class _RankPool:
+    """Parked rank workers shared by every event-backend run."""
+
+    def __init__(self):
+        self._reset()
+
+    def _reset(self) -> None:
+        # Also the fork hook: a forked child has none of these threads.
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+
+    @property
+    def parked(self) -> int:
+        """Number of idle workers waiting for a job."""
+        return len(self._idle)
+
+    def take(self, n: int) -> list[_Worker]:
+        """Remove and return up to ``n`` idle workers, oldest first.
+
+        Rank ``r`` of a run then lands on the same worker run after run,
+        so the stack pages and malloc caches a parked worker keeps are
+        those of one rank's program, not the worst of every rank's.
+        """
+        with self._lock:
+            idle = self._idle
+            idle.sort(key=_seq_of)
+            taken = idle[:n]
+            del idle[:n]
+        return taken
+
+    def park(self, worker: _Worker) -> bool:
+        """Return ``worker`` to the pool; False means its thread must exit."""
+        if worker.small or len(contextvars.copy_context()):
+            return False
+        with self._lock:
+            if len(self._idle) >= _SMALL_STACK_THRESHOLD:
+                return False
+            self._idle.append(worker)
+        return True
+
+
+_seq_of = operator.attrgetter("seq")
+_worker_seq = itertools.count()
+_RANK_POOL = _RankPool()
+os.register_at_fork(after_in_child=_RANK_POOL._reset)
 
 
 def resolve_engine(spec: str | None = None, default: str | None = None) -> str:
@@ -121,8 +212,8 @@ class SchedulerProfile:
 
     These are **wall-clock** numbers about the simulator itself — how
     fast the scheduler hands the baton around, how deep its ready heap
-    gets — deliberately distinct from the virtual-time metrics the
-    simulation produces.  The benchmark suite's ``mpi.task_switches``
+    gets, how many OS threads it had to start — deliberately distinct
+    from the virtual-time metrics the simulation produces.  The benchmark suite's ``mpi.task_switches``
     and ``mpi.heap_high_water`` probes read them.
 
     Updates are plain attribute arithmetic on the scheduler's hot path
@@ -131,13 +222,14 @@ class SchedulerProfile:
     """
 
     __slots__ = ("backend", "task_switches", "heap_high_water",
-                 "wall_seconds")
+                 "wall_seconds", "threads_started")
 
     def __init__(self, backend: str):
         self.backend = backend
         self.task_switches = 0      # baton handoffs / blocking waits
         self.heap_high_water = 0    # peak ready-heap depth (events only)
         self.wall_seconds = 0.0     # real time inside run_all
+        self.threads_started = 0    # OS threads created by run_all
 
     @property
     def switches_per_sec(self) -> float:
@@ -152,13 +244,14 @@ class SchedulerProfile:
             "heap_high_water": self.heap_high_water,
             "wall_seconds": self.wall_seconds,
             "switches_per_sec": self.switches_per_sec,
+            "threads_started": self.threads_started,
         }
 
     def publish(self, metrics: Any) -> None:
         """Expose the profile as ``engine.sched.*`` gauges (labelled with
         the backend) on a :class:`~repro.obs.metrics.MetricsRegistry`."""
         for field in ("task_switches", "heap_high_water", "wall_seconds",
-                      "switches_per_sec"):
+                      "switches_per_sec", "threads_started"):
             metrics.gauge(f"engine.sched.{field}",
                           backend=self.backend).set(
                 float(getattr(self, field)))
@@ -285,6 +378,7 @@ class ThreadScheduler(Scheduler):
                 timeout: float | None) -> None:
         engine = self.engine
         t0 = time.perf_counter()
+        self.profile.threads_started = len(engine.procs)
         try:
             for proc in engine.procs:
                 proc.thread = threading.Thread(
@@ -553,23 +647,29 @@ class EventScheduler(Scheduler):
         n = engine.nprocs
         self._running = True
         t0 = time.perf_counter()
-        old_stack = None
-        if n > _SMALL_STACK_THRESHOLD:
+        task = self._task_body
+        workers = _RANK_POOL.take(n)
+        for rank, worker in enumerate(workers):
+            worker.job = (task, rank, runner)
+            worker.wake.release()
+        self.profile.threads_started = n - len(workers)
+        if len(workers) < n:
+            small = n > _SMALL_STACK_THRESHOLD
+            old_stack = None
+            if small:
+                try:
+                    old_stack = threading.stack_size(_TASK_STACK_BYTES)
+                except (ValueError, RuntimeError):  # pragma: no cover
+                    old_stack = None
             try:
-                old_stack = threading.stack_size(_TASK_STACK_BYTES)
-            except (ValueError, RuntimeError):  # pragma: no cover
-                old_stack = None
-        try:
-            for proc in engine.procs:
-                proc.thread = threading.Thread(
-                    target=self._task_body, args=(proc.rank, runner),
-                    daemon=True, name=f"mpi-rank-{proc.rank}",
-                )
-            for proc in engine.procs:
-                proc.thread.start()
-        finally:
-            if old_stack is not None:
-                threading.stack_size(old_stack)
+                for rank in range(len(workers), n):
+                    worker = _Worker(small, next(_worker_seq))
+                    worker.job = (task, rank, runner)
+                    threading.Thread(target=worker.main, daemon=True,
+                                     name="mpi-rank-worker").start()
+            finally:
+                if old_stack is not None:
+                    threading.stack_size(old_stack)
         with engine.lock:
             # Seed every rank ready at virtual time zero, in rank order,
             # and hand the baton to the first.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps.em3d.problem import EM3DProblem, SubBody, generate_problem
 from repro.apps.em3d.serial import em3d_step_local, serial_em3d, update_field
@@ -93,6 +95,43 @@ class TestUpdateField:
     def test_empty_neighbours(self):
         out = update_field(np.ones(3), np.zeros((3, 3)), np.array([]))
         assert out.shape == (3,)
+
+
+def reference_update_field(values, weights, neighbours, boundary_term=0.0):
+    """``update_field`` as first written: arange + modulo gathers."""
+    n = len(values)
+    if n == 0:
+        return values
+    m = len(neighbours)
+    if m == 0:
+        return values * 0.98 + boundary_term
+    idx = np.arange(n)
+    a = neighbours[idx % m]
+    b = neighbours[(idx + 1) % m]
+    c = neighbours[(idx + 2) % m]
+    mixed = weights[:, 0] * a + weights[:, 1] * b + weights[:, 2] * c
+    return 0.5 * values + 0.5 * np.tanh(mixed + boundary_term)
+
+
+class TestUpdateFieldMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 80), m=st.integers(0, 80),
+           seed=st.integers(0, 2**32 - 1),
+           boundary=st.floats(-3.0, 3.0, allow_nan=False))
+    @example(n=5, m=40, seed=0, boundary=0.0)    # n < m
+    @example(n=40, m=5, seed=1, boundary=0.5)    # n > m
+    @example(n=7, m=1, seed=2, boundary=-1.0)    # m = 1
+    @example(n=0, m=9, seed=3, boundary=0.0)     # n = 0
+    @example(n=6, m=0, seed=4, boundary=2.0)     # m = 0
+    def test_bitwise_equal(self, n, m, seed, boundary):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(n)
+        weights = rng.uniform(0.1, 0.3, (n, 3))
+        nb = rng.standard_normal(m)
+        got = update_field(values, weights, nb, boundary)
+        want = reference_update_field(values, weights, nb, boundary)
+        assert got.shape == want.shape
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
 class TestSerial:

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import TCP_100MBIT, uniform_network
 from repro.mpi import run_mpi
 from repro.mpi.launcher import default_placement
+from repro.mpi.scheduler import _RANK_POOL
 from repro.util.errors import MPIError
 
 
@@ -130,3 +131,6 @@ class TestScale:
         # neighbours always sit on different machines: one TCP hop each
         assert res.makespan == pytest.approx(
             nranks * TCP_100MBIT.transfer_time(64), rel=1e-9)
+        # The rank pool keeps at most 2048 workers parked after a run
+        # this large; the reduced-stack workers it started all exit.
+        assert _RANK_POOL.parked <= 2048

@@ -1,11 +1,13 @@
 """Host-side self-profiler: both backends fill SchedulerProfile, the
 engine publishes it as gauges and streams lifecycle telemetry."""
 
+import time
+
 import pytest
 
 from repro.cluster import uniform_network
 from repro.mpi import run_mpi
-from repro.mpi.scheduler import SchedulerProfile
+from repro.mpi.scheduler import _RANK_POOL, SchedulerProfile
 from repro.obs import EventBus, MetricsRegistry
 
 BACKENDS = ("events", "threads")
@@ -32,6 +34,7 @@ class TestSchedulerProfile:
             "heap_high_water": 0,
             "wall_seconds": 0.0,
             "switches_per_sec": 0.0,
+            "threads_started": 0,
         }
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -57,6 +60,25 @@ class TestSchedulerProfile:
         high = registry.get_value("engine.sched.heap_high_water",
                                   backend="events")
         assert 1 <= high <= 6
+
+    def test_second_run_starts_no_threads(self):
+        """Rank workers park between runs: an identical run right after
+        the first reuses them, and the gauge says so."""
+        cluster = uniform_network([100.0] * 4)
+        run_mpi(ring_app, cluster, nprocs=64)
+        # The worker that ran the last rank may still be on its way back
+        # to the pool; wait for it so the count below is exact.
+        deadline = time.monotonic() + 10.0
+        while _RANK_POOL.parked < 64 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        registry, bus = MetricsRegistry(), EventBus()
+        result = run_mpi(ring_app, cluster, nprocs=64, metrics=registry,
+                         telemetry=bus)
+        assert not result.failed
+        assert registry.get_value("engine.sched.threads_started",
+                                  backend="events") == 0
+        finish = next(e for e in bus.tail() if e.name == "run.finish")
+        assert finish.payload["threads_started"] == 0
 
     def test_switches_per_sec_derived(self):
         profile = SchedulerProfile("events")
