@@ -15,6 +15,7 @@ different latency/bandwidth trade-offs cross over at some size).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from ..util.errors import ClusterError
@@ -48,6 +49,17 @@ class Protocol:
         if nbytes < 0:
             raise ClusterError(f"nbytes must be >= 0, got {nbytes}")
         return self.latency + nbytes / self.bandwidth
+
+
+#: In-place protocol edits (:meth:`Link.pin` / :meth:`Link.unpin` that
+#: change a pin) summed over every link.  :attr:`Cluster.version` adds it
+#: to the cluster's own edit count, so editing a link object in place
+#: re-prices the next selection.  Both counts only grow, so a stale
+#: selection-cache key never comes back; an edit to a link of another
+#: cluster costs that cluster one spurious re-price, never a stale answer.
+link_edits = 0
+# `+=` is not atomic: a lost update could move the count back.
+_link_edits_lock = threading.Lock()
 
 
 # 100 Mbit switched Ethernet of the paper: ~12.5 MB/s, sub-millisecond latency.
@@ -100,11 +112,18 @@ class Link:
         """Force all transfers to use the named protocol."""
         if name not in {p.name for p in self.protocols}:
             raise ClusterError(f"protocol {name!r} not available on this link")
-        self._pinned = name
+        self._set_pin(name)
 
     def unpin(self) -> None:
         """Re-enable per-message fastest-protocol selection."""
-        self._pinned = None
+        self._set_pin(None)
+
+    def _set_pin(self, name: str | None) -> None:
+        global link_edits
+        if name != self._pinned:
+            with _link_edits_lock:
+                self._pinned = name
+                link_edits += 1
 
     @property
     def pinned(self) -> str | None:

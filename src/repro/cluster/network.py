@@ -18,6 +18,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from ..util.errors import ClusterError
+from . import link as _link
 from .link import SHARED_MEMORY, TCP_100MBIT, Link, Protocol
 from .machine import Machine
 
@@ -59,10 +60,10 @@ class Cluster:
 
     A cluster stays mutable while a run holds it.  :attr:`version` counts
     the edits that can change a prediction — :meth:`set_topology`,
-    :meth:`set_link`, :meth:`pin_all` and :meth:`unpin_all` — and keys
-    the runtime's selection cache.  Mutating a :class:`Link` object in
-    place (``cluster.link(i, j).pin(...)``) is not a cluster edit and
-    bumps nothing; use :meth:`pin_all` or :meth:`set_link` instead.
+    :meth:`set_link`, :meth:`pin_all`, :meth:`unpin_all`, and pinning or
+    unpinning a :class:`Link` object in place
+    (``cluster.link(i, j).pin(...)``) — and keys the runtime's selection
+    cache.
     """
 
     def __init__(
@@ -126,8 +127,12 @@ class Cluster:
 
     @property
     def version(self) -> int:
-        """Count of cluster edits; never serialised, never in a digest."""
-        return self._version
+        """Count of cluster edits; never serialised, never in a digest.
+
+        The cluster's own edits plus every in-place link pin/unpin
+        (:data:`repro.cluster.link.link_edits`), so it only grows.
+        """
+        return self._version + _link.link_edits
 
     def machine_distance(self, src: int, dst: int) -> int:
         """Tree distance between two machines (flat mesh: 0 or 1)."""

@@ -194,7 +194,7 @@ def estimate_time(
     on.  This is the function ``HMPI_Timeof`` evaluates (with the mapping
     the runtime would actually choose) and the objective the mappers
     minimise.  The scheme is compiled once per model (see
-    :mod:`repro.core.seleng`) and replayed from flat event arrays
+    :mod:`repro.core.seleng`) and replayed from one flat event list
     thereafter; mappers pricing whole neighbourhoods should use
     :func:`repro.core.seleng.evaluate_mappings` or a
     :class:`repro.core.seleng.TraceEvaluator` directly to amortise setup.

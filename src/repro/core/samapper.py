@@ -7,7 +7,12 @@ a temperature schedule calibrated to the seed mapping's predicted time.
 Fully deterministic given its seed.
 
 Quality is validated against the exhaustive oracle in the tests; cost is
-``moves`` estimator evaluations over the cached trace.
+``moves`` estimator evaluations over the cached trace.  The loop keeps the
+current mapping both as processes and as machines, so a trial edits one
+or two slots of each, and it rebuilds the pool of unused processes only
+after an accepted move to one; the random draws, and so the accepted
+trajectory, are those of the plain loop that re-maps every slot (pinned
+by ``tests/properties/test_prop_samapper.py``).
 """
 
 from __future__ import annotations
@@ -85,33 +90,46 @@ class AnnealingMapper(Mapper):
 
         temp = max(current.time * self.start_temp_fraction, 1e-12)
         cooling = (1e-3) ** (1.0 / max(self.moves, 1))
+        machine_of = netmodel.machine_of
+        # The current mapping as processes and as machines: a trial edits
+        # one or two slots of each instead of re-mapping every slot.
         assignment = list(current.processes)
+        machines = [machine_of(p) for p in assignment]
         current_time = current.time
+        used = set(assignment)
+        unused = [c for c in candidates if c not in used]
 
         for _ in range(self.moves):
             trial = list(assignment)
-            used = set(trial)
-            unused = [c for c in candidates if c not in used]
+            trial_machines = list(machines)
             # swap two movable slots, or move one slot to an unused process
-            if unused and rng.random() < 0.5:
+            moved = bool(unused) and rng.random() < 0.5
+            if moved:
                 i = movable[int(rng.integers(len(movable)))]
-                trial[i] = unused[int(rng.integers(len(unused)))]
+                proc = unused[int(rng.integers(len(unused)))]
+                trial[i] = proc
+                trial_machines[i] = machine_of(proc)
             elif len(movable) >= 2:
                 i, j = rng.choice(len(movable), size=2, replace=False)
                 a, b = movable[int(i)], movable[int(j)]
                 trial[a], trial[b] = trial[b], trial[a]
+                trial_machines[a], trial_machines[b] = (
+                    trial_machines[b], trial_machines[a])
             else:
                 continue
-            trial_machines = tuple(netmodel.machine_of(p) for p in trial)
             t_trial = evaluator.evaluate(trial_machines)
             accept = t_trial <= current_time or (
                 rng.random() < math.exp((current_time - t_trial) / temp)
             )
             if accept:
                 assignment = trial
+                machines = trial_machines
                 current_time = t_trial
+                if moved:  # a swap leaves the set of used processes as is
+                    used = set(assignment)
+                    unused = [c for c in candidates if c not in used]
                 if t_trial < best.time:
-                    best = Mapping(tuple(trial), trial_machines, t_trial)
+                    best = Mapping(tuple(trial), tuple(trial_machines), t_trial)
             temp *= cooling
         return best
 

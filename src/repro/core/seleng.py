@@ -10,14 +10,19 @@ the scheme, multiplying fractions into volumes, and resolving link costs.
 
 This module compiles that invariant work out of the hot path:
 
-1. :func:`compile_trace` turns the model's recorded action stream into flat
-   event arrays (kind, endpoints, precomputed per-event volumes) exactly
-   once per model, with zero-byte and self transfers dropped at compile
-   time (they cannot move any clock);
-2. :class:`TraceEvaluator` prices one candidate with a tight
-   array-indexed replay whose link costs come from a table keyed by
-   **machine pairs** — shared between every candidate that routes a given
-   abstract pair over the same physical link;
+1. :func:`compile_trace` turns the model's recorded action stream into one
+   flat event list exactly once per model — a compute carries its volume,
+   a transfer its abstract pair and its ordinal within that pair — with
+   zero-byte and self transfers dropped at compile time (they cannot move
+   any clock);
+2. :class:`TraceEvaluator` prices one candidate in a single pass: one
+   effective speed per abstract processor, one (cpu latency, per-event
+   seconds) row per abstract pair from a table keyed by **machine
+   pairs** — shared between every candidate that routes a given abstract
+   pair over the same physical link, and between pairs with equal byte
+   counts — and then one replay loop that reads a transfer's seconds from
+   its pair's row and divides a compute's volume by its processor's
+   speed, with no per-event cost array between the two;
 3. :meth:`TraceEvaluator.evaluate_batch` amortises all of that setup
    across a whole neighbourhood (RefineMapper's swaps/moves,
    ExhaustiveMapper's permutation stream) and, for large batches, replays
@@ -36,7 +41,6 @@ mapper's symmetry-pruning count — for benchmarks and regression tests.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
@@ -72,8 +76,21 @@ __all__ = [
 TIMEOF_BACKENDS = ("trace", "net", "interp")
 
 #: Batches at least this large take the numpy-vectorised replay path;
-#: smaller ones loop the scalar replay (lower constant overhead).  The
-#: crossover was measured on the paper-network EM3D selection problem.
+#: smaller ones loop the fused scalar replay (lower constant overhead).
+#: Re-measured with the fused replay on the paper network (2-CPU Xeon,
+#: fresh evaluator per batch, µs per candidate, scalar / vectorised):
+#:
+#: ======  ===========  ===========  ===========  ===========  ==========
+#: batch   32           64           96           128          512
+#: ======  ===========  ===========  ===========  ===========  ==========
+#: em3d9   30 / 47      26 / 31      25 / 30      24 / 21      16 / 7
+#: mm      111 / 153    103 / 99     106 / 80     96 / 71      76 / 29
+#: ======  ===========  ===========  ===========  ===========  ==========
+#:
+#: The crossover sits between 64 and 128 for both, so the value stays.
+#: The suite's cold-selection deck feeds batches of 15–35 (refine) and
+#: 136 or 336 (exhaustive), which take the same path at any value in
+#: that range.
 BATCH_VECTOR_THRESHOLD = 96
 
 
@@ -114,23 +131,25 @@ class SelectionStats:
 
 
 class CompiledTrace:
-    """A model's scheme compiled to flat event arrays.
+    """A model's scheme compiled to one flat event list.
 
-    Events appear in scheme order.  Computes keep their per-event volume
-    in benchmark units; transfers keep their per-event byte counts grouped
-    by distinct abstract (src, dst) pair so per-pair link costs can be
-    resolved once per physical link and broadcast over all of a pair's
-    events.  Zero-byte and self transfers are dropped (no clock moves);
+    ``ops`` holds one ``(is_transfer, a, b, k, x)`` tuple per event, in
+    scheme order.  A compute on processor ``a`` has ``b = k = 0`` and
+    ``x`` its volume in benchmark units.  A transfer ``a -> b`` carries
+    the index ``k`` of its distinct abstract (src, dst) pair and its
+    ordinal ``x`` among that pair's events, so a candidate's link costs
+    are one row per pair (resolved once per physical link) indexed by
+    ``x``.  Zero-byte and self transfers are dropped (no clock moves);
     zero-volume computes are kept because they still merge a processor's
-    CPU and data-ready clocks.
+    CPU and data-ready clocks.  The numpy columns (``comp_*``,
+    ``pair_event_idx``) serve the vectorised batch replay.
     """
 
     __slots__ = (
         "nproc", "nevents", "ops",
-        "comp_idx", "comp_proc", "comp_vol", "comp_events",
+        "comp_idx", "comp_proc", "comp_vol",
         "pair_src", "pair_dst", "pair_ends",
-        "pair_event_idx", "pair_event_pos",
-        "pair_vols", "pair_vols_rounded", "npairs",
+        "pair_event_idx", "pair_vols_rounded", "npairs",
     )
 
     def __init__(self, model: AbstractBoundModel):
@@ -139,7 +158,7 @@ class CompiledTrace:
         lv = model.link_volumes()
         self.nproc = model.nproc
 
-        ops: list[tuple[bool, int, int, int]] = []
+        ops: list[tuple[bool, int, int, int, float]] = []
         comp_idx: list[int] = []
         comp_proc: list[int] = []
         comp_vol: list[float] = []
@@ -155,7 +174,7 @@ class CompiledTrace:
                 comp_idx.append(len(ops))
                 comp_proc.append(a)
                 comp_vol.append(volume)
-                ops.append((False, a, 0, 0))
+                ops.append((False, a, 0, 0, volume))
                 continue
             nbytes = fraction * float(lv[a, b])
             if nbytes < 0:
@@ -166,17 +185,15 @@ class CompiledTrace:
             if k == len(pair_event_idx):
                 pair_event_idx.append([])
                 pair_vols.append([])
-            pair_event_idx[k].append(len(ops))
+            ops.append((True, a, b, k, len(pair_vols[k])))
+            pair_event_idx[k].append(len(ops) - 1)
             pair_vols[k].append(nbytes)
-            ops.append((True, a, b, k))
 
         self.ops = ops
         self.nevents = len(ops)
         self.comp_idx = np.asarray(comp_idx, dtype=np.intp)
         self.comp_proc = np.asarray(comp_proc, dtype=np.intp)
         self.comp_vol = np.asarray(comp_vol, dtype=float)
-        # Python-list twin of the compute columns for the scalar replay.
-        self.comp_events = list(zip(comp_idx, comp_proc, comp_vol))
         pairs = sorted(pair_index, key=pair_index.get)
         self.pair_src = np.asarray([p[0] for p in pairs], dtype=np.intp)
         self.pair_dst = np.asarray([p[1] for p in pairs], dtype=np.intp)
@@ -184,12 +201,10 @@ class CompiledTrace:
         self.pair_event_idx = tuple(
             np.asarray(idx, dtype=np.intp) for idx in pair_event_idx
         )
-        self.pair_event_pos = tuple(tuple(idx) for idx in pair_event_idx)
-        self.pair_vols = tuple(np.asarray(v, dtype=float) for v in pair_vols)
         # Byte counts rounded once, the way Link.transfer_time rounds them
         # (np.rint == round-half-to-even == builtin round on floats).
         self.pair_vols_rounded = tuple(
-            np.rint(v).tolist() for v in self.pair_vols
+            np.rint(np.asarray(v, dtype=float)).tolist() for v in pair_vols
         )
         self.npairs = len(pairs)
 
@@ -209,16 +224,16 @@ def compile_trace(model: AbstractBoundModel) -> CompiledTrace:
 class TraceEvaluator:
     """Prices candidate mappings of one model against one network model.
 
-    Holds the compiled trace plus a link-cost table keyed by
-    ``(pair, machine_src, machine_dst)``, so candidates that route an
-    abstract pair over the same physical link share the cost computation.
-    The table is built through ``cluster.link``, so when the cluster has a
-    :class:`~repro.cluster.topology.Topology` each entry carries the
-    hierarchy-derived protocols of the pair's deepest common ancestor —
-    selection prices candidate mappings with the same site/subnet/switch
-    structure the execution engine charges.  Create one per selection
-    (the mappers do); the table assumes link parameters and machine
-    speeds are stable for the evaluator's lifetime.
+    Holds the compiled trace plus a link-cost table: one dict per abstract
+    pair (pairs with equal byte counts share one), keyed by
+    ``(machine_src, machine_dst)``, so candidates that route an abstract
+    pair over the same physical link share the cost computation.  The table is built through ``cluster.link``, so when the
+    cluster has a :class:`~repro.cluster.topology.Topology` each entry
+    carries the hierarchy-derived protocols of the pair's deepest common
+    ancestor — selection prices candidate mappings with the same
+    site/subnet/switch structure the execution engine charges.  Create one
+    per selection (the mappers do); the table assumes link parameters and
+    machine speeds are stable for the evaluator's lifetime.
     """
 
     def __init__(
@@ -232,11 +247,14 @@ class TraceEvaluator:
         self.cluster = netmodel.cluster
         self.single_port = bool(self.cluster.single_port)
         self.stats = stats
-        # (pair k, machine_src, machine_dst) ->
-        #     (cpu latency, per-event seconds array, same seconds as a list)
-        self._pair_cache: dict[
-            tuple[int, int, int], tuple[float, np.ndarray, list[float]]
-        ] = {}
+        # per pair k: (machine_src, machine_dst) ->
+        #     (cpu latency, per-event seconds); equal byte counts give
+        # equal rows on a link, so such pairs share one dict.
+        by_volumes: dict[tuple[float, ...], dict] = {}
+        self._pair_rows: list[dict[tuple[int, int], tuple[float, list[float]]]] = [
+            by_volumes.setdefault(tuple(vols), {})
+            for vols in self.trace.pair_vols_rounded
+        ]
         # (machine_src, machine_dst) -> (cpu latency, [(latency, bandwidth)])
         self._link_cache: dict[
             tuple[int, int], tuple[float, list[tuple[float, float]]]
@@ -251,24 +269,22 @@ class TraceEvaluator:
         hit = self._link_cache.get((mu, mv))
         if hit is None:
             link = self.cluster.link(mu, mv)
-            if link.pinned is not None or len(link.protocols) == 1:
-                proto = link.protocol_for(1)
-                params = [(proto.latency, proto.bandwidth)]
-            else:
-                params = [(p.latency, p.bandwidth) for p in link.protocols]
             # Non-single-port sends charge the CPU the pair's per-message
             # latency, which the oracle resolves for a 1-byte probe.
-            hit = (link.effective_latency(), params)
+            probe = link.protocol_for(1)
+            if link.pinned is not None or len(link.protocols) == 1:
+                params = [(probe.latency, probe.bandwidth)]
+            else:
+                params = [(p.latency, p.bandwidth) for p in link.protocols]
+            hit = (probe.latency, params)
             self._link_cache[(mu, mv)] = hit
         return hit
 
-    def _pair_cost(
-        self, k: int, mu: int, mv: int
-    ) -> tuple[float, np.ndarray, list[float]]:
-        key = (k, int(mu), int(mv))
-        hit = self._pair_cache.get(key)
+    def _pair_cost(self, k: int, mu: int, mv: int) -> tuple[float, list[float]]:
+        rows = self._pair_rows[k]
+        hit = rows.get((mu, mv))
         if hit is None:
-            cpu_lat, params = self._link_params(key[1], key[2])
+            cpu_lat, params = self._link_params(int(mu), int(mv))
             # Volumes were rounded at compile time, matching the rounding
             # inside Link.transfer_time; the Hockney formula itself is
             # plain float arithmetic (bit-identical to the oracle's).
@@ -280,9 +296,35 @@ class TraceEvaluator:
                 sec_list = [
                     min(lat + v / bw for lat, bw in params) for v in rounded
                 ]
-            hit = (cpu_lat, np.asarray(sec_list), sec_list)
-            self._pair_cache[key] = hit
+            hit = (cpu_lat, sec_list)
+            rows[(mu, mv)] = hit
         return hit
+
+    def _candidate_costs(
+        self, machines: Sequence[int]
+    ) -> tuple[list[float], list[float], list[list[float]]]:
+        """One candidate's effective speed per abstract processor, and
+        its (cpu latency, per-event seconds) per abstract pair."""
+        ct = self.trace
+        if len(machines) != ct.nproc:
+            raise HMPIError(
+                f"mapping length {len(machines)} != model nproc {ct.nproc}"
+            )
+        eff: list[float] = []
+        if len(ct.comp_idx):
+            counts: dict[int, int] = {}
+            for m in machines:
+                counts[m] = counts.get(m, 0) + 1
+            speed_of = self.netmodel.speed_of_machine
+            eff = [speed_of(m) / counts[m] for m in machines]
+        pair_rows = self._pair_rows
+        pair_cost = self._pair_cost
+        rows = [
+            pair_rows[k].get((machines[ps], machines[pd]))
+            or pair_cost(k, machines[ps], machines[pd])
+            for k, (ps, pd) in enumerate(ct.pair_ends)
+        ]
+        return eff, [r[0] for r in rows], [r[1] for r in rows]
 
     # ------------------------------------------------------------------
     # single-candidate path
@@ -294,56 +336,29 @@ class TraceEvaluator:
         return self._evaluate_one(machines)
 
     def _evaluate_one(self, machines: Sequence[int]) -> float:
-        return self._replay_scalar(*self._fill_costs(machines))
-
-    def _fill_costs(
-        self, machines: Sequence[int]
-    ) -> tuple[list[float], list[float]]:
-        """Per-event (duration, cpu-latency) arrays for one candidate."""
+        # One pass: a transfer reads its pair's row, a compute divides its
+        # volume by its processor's effective speed, in scheme order.
+        eff, lats, secs = self._candidate_costs(machines)
         ct = self.trace
-        if len(machines) != ct.nproc:
-            raise HMPIError(
-                f"mapping length {len(machines)} != model nproc {ct.nproc}"
-            )
-        # Plain-list fill: for the trace sizes selection sees (tens to a few
-        # hundred events) this beats numpy fancy indexing by a wide margin.
-        dur = [0.0] * ct.nevents
-        lat = [0.0] * ct.nevents
-        if ct.comp_events:
-            counts = Counter(machines)
-            speed_of = self.netmodel.speed_of_machine
-            eff = [speed_of(m) / counts[m] for m in machines]
-            for pos, a, vol in ct.comp_events:
-                dur[pos] = vol / eff[a]
-        for k, (ps, pd) in enumerate(ct.pair_ends):
-            cpu_lat, _, sec_list = self._pair_cost(k, machines[ps], machines[pd])
-            for pos, s in zip(ct.pair_event_pos[k], sec_list):
-                dur[pos] = s
-                lat[pos] = cpu_lat
-        return dur, lat
-
-    def _replay_scalar(self, dur: list[float], lat: list[float]) -> float:
-        ct = self.trace
-        n = ct.nproc
-        cpu = [0.0] * n
-        ready = [0.0] * n
+        cpu = [0.0] * ct.nproc
+        ready = [0.0] * ct.nproc
         busy = [0.0] * ct.npairs
         single_port = self.single_port
-        for i, (is_transfer, a, b, k) in enumerate(ct.ops):
+        for is_transfer, a, b, k, x in ct.ops:
             if is_transfer:
                 depart = cpu[a]
                 start = busy[k]
                 if depart > start:
                     start = depart
-                arrival = start + dur[i]
+                arrival = start + secs[k][x]
                 busy[k] = arrival
-                cpu[a] = arrival if single_port else depart + lat[i]
+                cpu[a] = arrival if single_port else depart + lats[k]
                 if arrival > ready[b]:
                     ready[b] = arrival
             else:
                 c = cpu[a]
                 r = ready[a]
-                finish = (c if c >= r else r) + dur[i]
+                finish = (c if c >= r else r) + x / eff[a]
                 cpu[a] = finish
                 ready[a] = finish
         best = 0.0
@@ -405,10 +420,10 @@ class TraceEvaluator:
             mv = mapmat[:, ct.pair_dst[k]]
             keys = mu * self.cluster.size + mv
             uniq, inverse = np.unique(keys, return_inverse=True)
-            sec_rows = np.empty((len(uniq), len(ct.pair_vols[k])))
+            sec_rows = np.empty((len(uniq), len(ct.pair_vols_rounded[k])))
             lat_rows = np.empty(len(uniq))
             for u, key in enumerate(uniq):
-                cpu_lat, seconds, _ = self._pair_cost(
+                cpu_lat, seconds = self._pair_cost(
                     k, int(key) // self.cluster.size, int(key) % self.cluster.size
                 )
                 sec_rows[u] = seconds
@@ -420,7 +435,7 @@ class TraceEvaluator:
         ready = np.zeros((nbatch, n))
         busy = np.zeros((nbatch, max(ct.npairs, 1)))
         single_port = self.single_port
-        for i, (is_transfer, a, b, k) in enumerate(ct.ops):
+        for i, (is_transfer, a, b, k, _x) in enumerate(ct.ops):
             d = dur[:, i]
             if is_transfer:
                 depart = cpu[:, a]
@@ -472,7 +487,7 @@ class TimingDag:
         cpu_pred: list[int] = []
         busy_pred: list[int] = []
         ready_preds: list[tuple[int, ...] | None] = []
-        for i, (is_transfer, a, b, k) in enumerate(ct.ops):
+        for i, (is_transfer, a, b, k, _x) in enumerate(ct.ops):
             cpu_pred.append(last_cpu[a])
             if is_transfer:
                 busy_pred.append(last_pair[k])
@@ -512,8 +527,8 @@ class NetEvaluator(TraceEvaluator):
     DAG predecessors in one topological pass (:meth:`event_times`), and
     the makespan is the longest path (every clock is monotone, so the
     maximum over all event values equals the maximum over the final
-    clocks).  The arithmetic reproduces
-    :meth:`TraceEvaluator._replay_scalar` operation-for-operation, so
+    clocks).  The arithmetic reproduces the scalar replay of
+    :meth:`TraceEvaluator.evaluate` operation-for-operation, so
     predictions are **bitwise identical** to the production trace replay
     and the :class:`~repro.core.estimator.TimelineVisitor` oracle.  The
     property suite pins the two together, and
@@ -531,6 +546,16 @@ class NetEvaluator(TraceEvaluator):
     ):
         super().__init__(model, netmodel, stats)
         self._dag = compile_timing_dag(model, self.trace)
+
+    def _fill_costs(
+        self, machines: Sequence[int]
+    ) -> tuple[list[float], list[float]]:
+        """Per-event (duration, cpu-latency) lists for one candidate."""
+        eff, lats, secs = self._candidate_costs(machines)
+        ops = self.trace.ops
+        dur = [secs[k][x] if t else x / eff[a] for t, a, _b, k, x in ops]
+        lat = [lats[k] if t else 0.0 for t, _a, _b, k, _x in ops]
+        return dur, lat
 
     def event_times(
         self, machines: Sequence[int]
@@ -556,7 +581,7 @@ class NetEvaluator(TraceEvaluator):
         starts = [0.0] * nevents
         end = [0.0] * nevents
         release = [0.0] * nevents
-        for i, (is_transfer, _a, _b, _k) in enumerate(self.trace.ops):
+        for i, (is_transfer, _a, _b, _k, _x) in enumerate(self.trace.ops):
             cp = cpu_pred[i]
             depart = release[cp] if cp >= 0 else 0.0
             departs[i] = depart

@@ -2,7 +2,8 @@
 
 One invariant, stated as state machines.  Any interleaving of the world
 edits a run can make — speed refreshes, machine deaths, churn departures
-and readmissions, topology and link edits, protocol pinning — with
+and readmissions, topology and link edits, protocol pinning (cluster-wide
+or one link object in place) — with
 selections over a shrinking candidate pool must leave
 :meth:`HMPIRuntimeState.select` answering **bitwise** what a cold
 runtime built from the current world answers.  The served path is the
@@ -170,6 +171,21 @@ class SelectionCacheMachine(RuleBasedStateMachine):
     @rule()
     def unpin_all(self):
         self.cluster.unpin_all()
+
+    @rule(data=st.data())
+    def pin_one(self, data):
+        # An in-place edit of one link object, not a cluster method, on
+        # a link the last answer uses (where a stale price shows).
+        machines = list(range(N) if self.answer is None
+                        else self.answer.machines)
+        src, dst = data.draw(st.permutations(machines))[:2]
+        link = self.cluster.link(src, dst)
+        # A protocol other than the one a large message takes today, so
+        # the pin moves a price.
+        now = link.protocol_for(1 << 20).name
+        names = [p.name for p in link.protocols if p.name != now]
+        if names:
+            link.pin(data.draw(st.sampled_from(names)))
 
     @rule(model=st.integers(0, 1), mapper=st.sampled_from(MAPPERS),
           drop=st.integers(0, 3))

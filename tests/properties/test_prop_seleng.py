@@ -2,13 +2,16 @@
 
 :class:`repro.core.estimator.TimelineVisitor` is the semantic oracle for
 predicted execution times; the compiled engine in :mod:`repro.core.seleng`
-must reproduce it on every candidate mapping — scalar path, batched-scalar
-path, and the vectorised path alike — across single-port clusters,
-multi-protocol links, co-locating mappings, and degenerate (zero-volume)
-models.
+must reproduce it **bitwise** on every candidate mapping — the fused
+scalar replay, the batched-scalar path, the vectorised path and the
+reference :class:`~repro.core.seleng.NetEvaluator` alike — across
+single-port clusters, multi-protocol links (free and pinned), co-locating
+mappings, and degenerate (zero-volume) models.  This one-oracle property
+is what pins the production replay; there is no second copy of it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +25,15 @@ from repro.core.estimator import (
 from repro.core.netmodel import NetworkModel
 from repro.core.seleng import (
     BATCH_VECTOR_THRESHOLD,
+    NetEvaluator,
     TraceEvaluator,
     evaluate_mappings,
 )
 from repro.perfmodel.builder import MatrixModel
 
-TOL = 1e-9
+#: ``random_cluster`` kinds: paper, multi-protocol, random uniform, and
+#: multi-protocol with every link pinned to TCP.
+KINDS = st.integers(0, 3)
 
 
 def oracle_time(model, netmodel, machines):
@@ -76,6 +82,9 @@ def random_cluster(rng, kind, single_port):
         cluster = paper_network()
     elif kind == 1:
         cluster = multiprotocol_network()
+    elif kind == 3:
+        cluster = multiprotocol_network()
+        cluster.pin_all("tcp-100mbit")
     else:
         speeds = rng.uniform(5.0, 300.0, size=rng.integers(2, 7)).tolist()
         cluster = uniform_network(speeds)
@@ -83,55 +92,63 @@ def random_cluster(rng, kind, single_port):
     return cluster
 
 
+def assert_scalar_paths_match_oracle(seed, nproc, kind, single_port):
+    rng = np.random.default_rng(seed)
+    cluster = random_cluster(rng, kind, single_port)
+    netmodel = NetworkModel(cluster, list(range(cluster.size)))
+    model = random_model(rng, nproc)
+    evaluator = TraceEvaluator(model, netmodel)
+    reference = NetEvaluator(model, netmodel)
+
+    mappings = [
+        tuple(int(m) for m in rng.integers(0, cluster.size, size=nproc))
+        for _ in range(4)
+    ]
+    expected = [oracle_time(model, netmodel, m) for m in mappings]
+
+    for mapping, want in zip(mappings, expected):
+        assert evaluator.evaluate(mapping) == want
+        assert reference.evaluate(mapping) == want
+    assert evaluator.evaluate_batch(mappings).tolist() == expected
+
+
+def assert_vectorised_matches_oracle(seed, nproc, kind, single_port):
+    rng = np.random.default_rng(seed)
+    cluster = random_cluster(rng, kind, single_port)
+    netmodel = NetworkModel(cluster, list(range(cluster.size)))
+    model = random_model(rng, nproc)
+
+    nbatch = BATCH_VECTOR_THRESHOLD + 5
+    mappings = [
+        tuple(int(m) for m in rng.integers(0, cluster.size, size=nproc))
+        for _ in range(nbatch)
+    ]
+    times = evaluate_mappings(model, netmodel, mappings)
+    assert times.shape == (nbatch,)
+    assert times.tolist() == [oracle_time(model, netmodel, m)
+                              for m in mappings]
+
+
+ORACLE_CASES = dict(
+    seed=st.integers(0, 2**31 - 1),
+    nproc=st.integers(1, 6),
+    kind=KINDS,
+    single_port=st.booleans(),
+)
+VECTOR_CASES = dict(ORACLE_CASES, nproc=st.integers(1, 5))
+
+
 class TestEngineMatchesOracle:
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        nproc=st.integers(1, 6),
-        kind=st.integers(0, 2),
-        single_port=st.booleans(),
-    )
+    @given(**ORACLE_CASES)
     @settings(max_examples=60, deadline=None)
     def test_scalar_and_small_batch(self, seed, nproc, kind, single_port):
-        rng = np.random.default_rng(seed)
-        cluster = random_cluster(rng, kind, single_port)
-        netmodel = NetworkModel(cluster, list(range(cluster.size)))
-        model = random_model(rng, nproc)
-        evaluator = TraceEvaluator(model, netmodel)
+        assert_scalar_paths_match_oracle(seed, nproc, kind, single_port)
 
-        mappings = [
-            tuple(int(m) for m in rng.integers(0, cluster.size, size=nproc))
-            for _ in range(4)
-        ]
-        expected = [oracle_time(model, netmodel, m) for m in mappings]
-
-        for mapping, want in zip(mappings, expected):
-            assert abs(evaluator.evaluate(mapping) - want) <= TOL
-        batched = evaluator.evaluate_batch(mappings)
-        assert np.all(np.abs(batched - np.asarray(expected)) <= TOL)
-
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        nproc=st.integers(1, 5),
-        kind=st.integers(0, 2),
-        single_port=st.booleans(),
-    )
+    @given(**VECTOR_CASES)
     @settings(max_examples=25, deadline=None)
     def test_vectorised_batch(self, seed, nproc, kind, single_port):
         """Batches above the vectorisation threshold agree event-for-event."""
-        rng = np.random.default_rng(seed)
-        cluster = random_cluster(rng, kind, single_port)
-        netmodel = NetworkModel(cluster, list(range(cluster.size)))
-        model = random_model(rng, nproc)
-
-        nbatch = BATCH_VECTOR_THRESHOLD + 5
-        mappings = [
-            tuple(int(m) for m in rng.integers(0, cluster.size, size=nproc))
-            for _ in range(nbatch)
-        ]
-        times = evaluate_mappings(model, netmodel, mappings)
-        assert times.shape == (nbatch,)
-        for mapping, got in zip(mappings, times):
-            assert abs(got - oracle_time(model, netmodel, mapping)) <= TOL
+        assert_vectorised_matches_oracle(seed, nproc, kind, single_port)
 
     @given(seed=st.integers(0, 2**31 - 1), nproc=st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
@@ -144,7 +161,7 @@ class TestEngineMatchesOracle:
         machine = int(rng.integers(cluster.size))
         mapping = tuple([machine] * nproc)
         want = oracle_time(model, netmodel, mapping)
-        assert abs(estimate_time(model, netmodel, mapping) - want) <= TOL
+        assert estimate_time(model, netmodel, mapping) == want
 
     @given(seed=st.integers(0, 2**31 - 1), nproc=st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
@@ -158,6 +175,20 @@ class TestEngineMatchesOracle:
             int(m) for m in rng.integers(0, cluster.size, size=nproc)
         )
         want = oracle_time(model, netmodel, mapping)
-        assert abs(estimate_time(model, netmodel, mapping) - want) <= TOL
+        assert estimate_time(model, netmodel, mapping) == want
         times = evaluate_mappings(model, netmodel, [mapping] * 3)
-        assert np.all(np.abs(times - want) <= TOL)
+        assert times.tolist() == [want] * 3
+
+
+@pytest.mark.slow
+@given(**ORACLE_CASES)
+@settings(max_examples=600, deadline=None)
+def test_scalar_and_small_batch_deep(seed, nproc, kind, single_port):
+    assert_scalar_paths_match_oracle(seed, nproc, kind, single_port)
+
+
+@pytest.mark.slow
+@given(**VECTOR_CASES)
+@settings(max_examples=250, deadline=None)
+def test_vectorised_batch_deep(seed, nproc, kind, single_port):
+    assert_vectorised_matches_oracle(seed, nproc, kind, single_port)
