@@ -50,7 +50,7 @@ from ..mpi.communicator import Comm
 from ..mpi.engine import FTConfig
 from ..mpi.group import Group
 from ..mpi.launcher import MPIEnv, MPIRunResult, default_placement, run_mpi
-from ..perfmodel.model import AbstractBoundModel
+from ..perfmodel.model import AbstractBoundModel, model_key
 from ..util.errors import (
     HMPIRepairError,
     HMPIStateError,
@@ -271,10 +271,7 @@ class HMPI:
         obs = self.state.obs
         if obs is None:
             return
-        from ..obs.accuracy import model_key
-
-        key = model if isinstance(model, str) else model_key(model)
-        obs.accuracy.measure(key, seconds)
+        obs.accuracy.measure(model_key(model), seconds)
 
     # ------------------------------------------------------------------
     # identity predicates
@@ -373,8 +370,6 @@ class HMPI:
         obs = self.state.obs
         if obs is None:
             return self.state.select(model, mapper).time * iterations
-        from ..obs.accuracy import model_key
-
         info: dict = {}
         with self._span("HMPI_Timeof", model=model_key(model)) as sp:
             mapping = self.state.select(model, mapper, info=info)
@@ -536,8 +531,6 @@ class HMPI:
                     self._mark_ranks_dead(set(exc.ranks) | {r})
             obs = self.state.obs
             if obs is not None:
-                from ..obs.accuracy import model_key
-
                 if span is not None:
                     span.attrs.update(info or {}, attempts=attempt + 1,
                                       model=model_key(use_model))

@@ -17,6 +17,8 @@ from typing import Any
 
 import numpy as np
 
+from ..util.csizes import c_sizeof
+
 __all__ = [
     "Datatype",
     "DOUBLE",
@@ -60,19 +62,7 @@ def sizeof(dtype: Datatype | str) -> int:
     """
     if isinstance(dtype, Datatype):
         return dtype.size
-    table = {
-        "double": 8,
-        "float": 4,
-        "int": 4,
-        "long": 8,
-        "char": 1,
-        "byte": 1,
-        "short": 2,
-    }
-    try:
-        return table[dtype.lower()]
-    except KeyError:
-        raise KeyError(f"unknown C type name {dtype!r}") from None
+    return c_sizeof(dtype)
 
 
 # ----------------------------------------------------------------------

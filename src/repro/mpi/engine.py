@@ -153,19 +153,18 @@ class PostedRecv:
 
 
 class ProcessState:
-    """Bookkeeping for one rank: clock, queues, thread, outcome."""
+    """Bookkeeping for one rank: clock, queues, wait state, outcome."""
 
     __slots__ = (
-        "rank", "machine_index", "clock", "cond", "unexpected", "posted",
+        "rank", "machine_index", "clock", "unexpected", "posted",
         "last_arrival", "send_seq", "finished", "failed", "result",
-        "exception", "thread", "waiting", "wake_exc",
+        "exception", "waiting", "wake_exc",
     )
 
-    def __init__(self, rank: int, machine_index: int, lock: threading.RLock):
+    def __init__(self, rank: int, machine_index: int):
         self.rank = rank
         self.machine_index = machine_index
         self.clock = 0.0
-        self.cond = threading.Condition(lock)
         self.unexpected: deque[Message] = deque()
         self.posted: deque[PostedRecv] = deque()
         self.last_arrival: dict[int, float] = {}
@@ -174,7 +173,6 @@ class ProcessState:
         self.failed = False
         self.result: Any = None
         self.exception: BaseException | None = None
-        self.thread: threading.Thread | None = None
         # ("recv", PostedRecv, deadline), ("probe", (context, src, tag),
         # deadline) or ("ext", predicate, None) while the rank's thread is
         # inside a blocking wait; None otherwise.  ``deadline`` is an
@@ -226,7 +224,7 @@ class Engine:
         self.placement = list(placement)
         self.nprocs = len(placement)
         self.lock = threading.RLock()
-        self.procs = [ProcessState(r, placement[r], self.lock) for r in range(self.nprocs)]
+        self.procs = [ProcessState(r, placement[r]) for r in range(self.nprocs)]
         self.machine_counts = [0] * cluster.size
         for m in placement:
             self.machine_counts[m] += 1
@@ -629,17 +627,11 @@ class Engine:
     def _wait_step(self, proc: ProcessState) -> None:
         """One blocking step of a wait loop (lock held, ``waiting`` set).
 
-        Raises any planted wake exception (or the terminal deadlock) and
-        parks the rank via the scheduler.  Backends that rely on eager
-        stall detection (``threads``: every blocked rank must re-check
-        global progress, since blocking order is an OS accident) run
-        :meth:`_check_stall` before parking; the event backend detects
-        stalls centrally when its ready heap runs dry.
+        Raises any planted wake exception (or the terminal deadlock), else
+        parks the rank via the scheduler, which owns stall detection and
+        may return without a wake; the wait loop then re-checks.
         """
         self._raise_if_woken(proc)
-        if self.scheduler.eager_stall:
-            self._check_stall()
-            self._raise_if_woken(proc)
         if self.deadlocked:
             raise self._deadlock_error()
         self.scheduler.block(proc)
@@ -755,11 +747,11 @@ class Engine:
     def _check_stall(self) -> None:
         """Resolve the stall iff no unfinished rank can ever progress.
 
-        Called (with the lock held) whenever a rank is about to block and
-        whenever a rank finishes.  Sends are eager, so if every unfinished
-        rank is waiting on an unsatisfied condition, no future delivery can
-        occur and the run is stuck — some waiter must be woken with a typed
-        error (or, with no failure in sight, the run is a true deadlock).
+        The thread backend calls it (lock held) whenever a rank is about to
+        block and whenever a rank finishes.  Sends are eager, so if every
+        unfinished rank is waiting on an unsatisfied condition, no future
+        delivery can occur and the run is stuck — some waiter must be woken
+        with a typed error (or, with no failure in sight, a true deadlock).
         """
         if not self._started or self.deadlocked:
             return

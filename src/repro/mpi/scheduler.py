@@ -1,15 +1,12 @@
 """Pluggable rank schedulers for the virtual-time engine.
 
 The engine (:mod:`repro.mpi.engine`) owns *what* happens — message
-matching, virtual clocks, fault accounting.  A :class:`Scheduler` owns
-*when* rank programs run: it decides which rank executes next, parks ranks
-whose wait condition is unsatisfied, and wakes them when the engine makes
-their condition true.  Two implementations share that contract:
-
-``threads`` (:class:`ThreadScheduler`)
-    The original backend: every rank is a freely preempted OS thread
-    blocking on a per-rank condition variable.  Wall-clock cost grows with
-    thread context switching, which caps simulated rank counts.
+matching, virtual clocks, fault accounting, stall detection.  A
+:class:`Scheduler` owns *when* rank programs run: it decides which rank
+executes next, parks ranks whose wait condition is unsatisfied, and wakes
+them when the engine makes their condition true.  The engine never
+branches on which scheduler runs it.  Two implementations share that
+contract:
 
 ``events`` (:class:`EventScheduler`, the default)
     A discrete-event core: rank programs still run on (parked) threads so
@@ -30,6 +27,12 @@ their condition true.  Two implementations share that contract:
     whose task left anything in its ``contextvars`` context exit instead,
     so every rank starts in an empty context as a fresh thread would.  A
     forked child starts with an empty pool.
+
+``threads`` (:class:`ThreadScheduler`)
+    The original backend, kept as the reference the event core is
+    differentially tested against: every rank is a preempted OS thread
+    blocking on its own condition variable.  Only this class knows that
+    ranks are preempted.
 
 Backend selection is uniform across entry points: ``engine="threads" |
 "events"`` on :class:`~repro.mpi.engine.Engine`, ``run_mpi``,
@@ -272,19 +275,16 @@ class Scheduler:
     #: Host-side self-profile, populated by :meth:`run_all` (see
     #: :class:`SchedulerProfile`); always present, always cheap.
     profile: "SchedulerProfile"
-    #: Whether engine wait loops must run stall detection eagerly on every
-    #: blocking step.  True for preemptive backends (any rank may block at
-    #: any real moment, so each blocker re-checks global progress); False
-    #: for the event backend, which detects stalls exactly when its ready
-    #: heap runs dry.
-    eager_stall: bool = True
     #: Whether rank interleaving is deterministic (virtual-time ordered)
     #: rather than at the mercy of OS scheduling.  Deterministic backends
     #: need no real-time "settling" sleeps in simulation-fidelity hacks.
     deterministic: bool = False
 
     def block(self, proc: "ProcessState") -> None:
-        """Park the calling rank until :meth:`wake` (one wait step)."""
+        """Park the calling rank until :meth:`wake` (one wait step).
+
+        Detecting a stall is the scheduler's job.  ``block`` may return
+        without a wake; the engine's wait loop then re-checks."""
         raise NotImplementedError
 
     def wake(self, proc: "ProcessState", at: float | None = None) -> None:
@@ -306,19 +306,17 @@ class Scheduler:
 
     def ready_before(self, proc: "ProcessState", key: float) -> bool:
         """Whether some other rank is ready to run before virtual time
-        ``key``.  Event-ordered backends answer from the ready heap; the
-        preemptive backend answers False (everyone runnable is already
-        running in real time, so there is nobody to wait for)."""
-        return False
+        ``key``.  Called only when :attr:`deterministic` is True."""
+        raise NotImplementedError
 
     def wait_upto(self, proc: "ProcessState", key: float) -> None:
         """Let every rank ready before virtual time ``key`` run, then
         return to the caller (which re-examines the world).  Supports
         virtual-time-faithful completion of wildcard receives: the
         receiver must not commit to a match while a virtually earlier
-        rank could still produce a better one.  No-op for preemptive
-        backends."""
-        return None
+        rank could still produce a better one.  Called only when
+        :attr:`deterministic` is True."""
+        raise NotImplementedError
 
     def on_finish(self, proc: "ProcessState") -> None:
         """A rank's program ended (``proc.finished`` already set)."""
@@ -338,30 +336,36 @@ class Scheduler:
 class ThreadScheduler(Scheduler):
     """One preemptive OS thread per rank (the original backend).
 
-    Blocking waits sit on per-rank condition variables sharing the engine
-    lock; wake-ups are broadcasts.  Kept selectable both as the semantic
-    reference for differential testing and for programs that genuinely
-    want preemptive interleaving.
+    Each rank blocks on its own condition variable, built on the engine
+    lock; wake-ups are broadcasts.  Any rank may block at any real moment,
+    so every park first runs the engine's stall check.  Kept selectable as
+    the semantic reference for differential testing and for programs that
+    genuinely want preemptive interleaving.
     """
 
     name = "threads"
-    eager_stall = True
     deterministic = False
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
         self.profile = SchedulerProfile(self.name)
+        self._conds = [threading.Condition(engine.lock)
+                       for _ in range(engine.nprocs)]
 
     def block(self, proc: "ProcessState") -> None:
+        engine = self.engine
+        engine._check_stall()
+        if proc.wake_exc is not None or engine.deadlocked:
+            return   # the engine's wait loop raises it
         self.profile.task_switches += 1
-        proc.cond.wait()
+        self._conds[proc.rank].wait()
 
     def wake(self, proc: "ProcessState", at: float | None = None) -> None:
-        proc.cond.notify_all()
+        self._conds[proc.rank].notify_all()
 
     def wake_all(self) -> None:
-        for p in self.engine.procs:
-            p.cond.notify_all()
+        for cond in self._conds:
+            cond.notify_all()
 
     def yield_now(self, proc: "ProcessState") -> None:
         return None
@@ -371,29 +375,28 @@ class ThreadScheduler(Scheduler):
         # and can satisfy external-wait predicates; both need the blocked
         # threads to re-examine the world.
         self.engine._check_stall()
-        for p in self.engine.procs:
-            p.cond.notify_all()
+        self.wake_all()
 
     def run_all(self, runner: Callable[[int], None],
                 timeout: float | None) -> None:
         engine = self.engine
         t0 = time.perf_counter()
-        self.profile.threads_started = len(engine.procs)
+        threads = [
+            threading.Thread(target=runner, args=(rank,), daemon=True,
+                             name=f"mpi-rank-{rank}")
+            for rank in range(engine.nprocs)
+        ]
+        self.profile.threads_started = len(threads)
         try:
-            for proc in engine.procs:
-                proc.thread = threading.Thread(
-                    target=runner, args=(proc.rank,), daemon=True,
-                    name=f"mpi-rank-{proc.rank}",
-                )
-            for proc in engine.procs:
-                proc.thread.start()
-            for proc in engine.procs:
-                proc.thread.join(timeout)
-                if proc.thread.is_alive():
+            for thread in threads:
+                thread.start()
+            for rank, thread in enumerate(threads):
+                thread.join(timeout)
+                if thread.is_alive():
                     with engine.lock:
                         engine._declare_deadlock()
                     raise DeadlockError(
-                        f"rank {proc.rank} did not finish within {timeout}s "
+                        f"rank {rank} did not finish within {timeout}s "
                         f"of real time"
                     )
         finally:
@@ -428,7 +431,6 @@ class EventScheduler(Scheduler):
     """
 
     name = "events"
-    eager_stall = False
     deterministic = True
 
     _PARKED = 0
@@ -446,7 +448,6 @@ class EventScheduler(Scheduler):
         self._heap: list[tuple[float, int, int]] = []
         self._seq = 0
         self._nfinished = 0
-        self._running = False
         self._done = threading.Event()
         self._internal: BaseException | None = None
 
@@ -531,11 +532,6 @@ class EventScheduler(Scheduler):
 
     # -- Scheduler interface -------------------------------------------
     def block(self, proc: "ProcessState") -> None:
-        if not self._running:
-            # Direct engine use outside run(): behave like the thread
-            # backend so ad-hoc harnesses keep working.
-            proc.cond.wait()
-            return
         rank = proc.rank
         self._state[rank] = self._PARKED
         nxt = self._next_ready()
@@ -550,9 +546,6 @@ class EventScheduler(Scheduler):
         self._hand_off(rank, nxt)
 
     def wake(self, proc: "ProcessState", at: float | None = None) -> None:
-        if not self._running:
-            proc.cond.notify_all()
-            return
         rank = proc.rank
         if proc.finished or self._state[rank] != self._PARKED:
             return
@@ -560,16 +553,12 @@ class EventScheduler(Scheduler):
         self._push(key, rank)
 
     def wake_all(self) -> None:
-        if not self._running:
-            for p in self.engine.procs:
-                p.cond.notify_all()
-            return
         for p in self.engine.procs:
             if not p.finished and self._state[p.rank] == self._PARKED:
                 self._push(p.clock, p.rank)
 
     def yield_now(self, proc: "ProcessState") -> None:
-        if not self._running or proc.finished:
+        if proc.finished:
             return
         with self.engine.lock:
             rank = proc.rank
@@ -584,8 +573,6 @@ class EventScheduler(Scheduler):
             self._hand_off(rank, nxt)
 
     def ready_before(self, proc: "ProcessState", key: float) -> bool:
-        if not self._running:
-            return False
         heap = self._heap
         engine = self.engine
         while heap:
@@ -597,8 +584,6 @@ class EventScheduler(Scheduler):
         return False
 
     def wait_upto(self, proc: "ProcessState", key: float) -> None:
-        if not self._running:
-            return
         rank = proc.rank
         if key < proc.clock:
             key = proc.clock
@@ -614,11 +599,6 @@ class EventScheduler(Scheduler):
         self._hand_off(rank, nxt)
 
     def on_finish(self, proc: "ProcessState") -> None:
-        if not self._running:
-            self.engine._check_stall()
-            for p in self.engine.procs:
-                p.cond.notify_all()
-            return
         engine = self.engine
         self._state[proc.rank] = self._FINISHED
         self._nfinished += 1
@@ -645,7 +625,6 @@ class EventScheduler(Scheduler):
                 timeout: float | None) -> None:
         engine = self.engine
         n = engine.nprocs
-        self._running = True
         t0 = time.perf_counter()
         task = self._task_body
         workers = _RANK_POOL.take(n)

@@ -25,27 +25,9 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
+from ..perfmodel.model import model_key
+
 __all__ = ["PredictionRecord", "PredictionTracker", "model_key"]
-
-
-def model_key(model: Any) -> str:
-    """Stable report key for a performance model.
-
-    Prefers the model's own ``name``; a PMDL ``BoundModel`` exposes the
-    algorithm name through its performance model, so all bindings of one
-    algorithm (different block sizes, group sizes) share a key.  Falls
-    back to the type name.
-    """
-    if isinstance(model, str):
-        return model
-    name = getattr(model, "name", None)
-    if isinstance(name, str) and name:
-        return name
-    pm = getattr(model, "_pm", None)
-    name = getattr(pm, "name", None)
-    if isinstance(name, str) and name:
-        return name
-    return type(model).__name__
 
 
 @dataclass

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from ..mpi.datatypes import sizeof
+from ..util.csizes import c_sizeof
 from . import ast
 from .diagnostics import Diagnostic, Severity, register_rule
 from .printer import format_coords as _fmt_coords
@@ -425,7 +425,7 @@ class _Analyzer:
             return Ival.const(expr.value)
         if isinstance(expr, ast.Sizeof):
             try:
-                return Ival.const(sizeof(expr.type_name))
+                return Ival.const(c_sizeof(expr.type_name))
             except Exception:
                 return TOP
         if isinstance(expr, ast.Name):

@@ -42,7 +42,7 @@ import math
 from collections.abc import Callable, Iterator
 from typing import Any
 
-from ..mpi.datatypes import sizeof
+from ..util.csizes import c_sizeof
 from . import ast, interp
 
 __all__ = ["ModelCode", "generate"]
@@ -91,7 +91,7 @@ _RUNTIME: dict[str, Any] = {
     "_par_step": interp.par_step,
     "_over_budget": interp.over_budget,
     "_no_exit": interp.no_exit,
-    "_sizeof": sizeof,
+    "_sizeof": c_sizeof,
     "_product": itertools.product,
     "_BUDGET": interp.STEP_BUDGET,
 }
@@ -493,7 +493,7 @@ class _Gen:
 
     def e_sizeof(self, e: ast.Sizeof, mode: str) -> _Code:
         try:
-            return repr(sizeof(e.type_name)), 0, _NONE
+            return repr(c_sizeof(e.type_name)), 0, _NONE
         except Exception:
             return f"_sizeof({e.type_name!r})", 1, _NONE
 

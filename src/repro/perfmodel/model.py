@@ -39,7 +39,23 @@ __all__ = [
     "PerformanceModel",
     "LinearActionVisitor",
     "default_scheme_walk",
+    "model_key",
 ]
+
+
+def model_key(model: Any) -> str:
+    """Stable report key for a performance model.
+
+    A string passes through; otherwise the model's own ``name`` (a
+    :class:`BoundModel` answers with its algorithm's, so all bindings of
+    one algorithm share a key), falling back to the type name.
+    """
+    if isinstance(model, str):
+        return model
+    name = getattr(model, "name", None)
+    if isinstance(name, str) and name:
+        return name
+    return type(model).__name__
 
 
 class AbstractBoundModel(ABC):
@@ -143,6 +159,11 @@ class BoundModel(AbstractBoundModel):
         self._coord_names = [c.name for c in perf_model.algorithm.coords]
         self._node_volumes: np.ndarray | None = None
         self._link_volumes: np.ndarray | None = None
+
+    @property
+    def name(self) -> str:
+        """The algorithm's name, shared by every binding of it."""
+        return self._pm.name
 
     # ------------------------------------------------------------------
     # geometry

@@ -17,8 +17,9 @@ Rules:
   place no receive ever consumes: the destination performs no compute at
   or after the send, so the modelled arrival never synchronises.
 - **PM082** ``net-multiplicity-mismatch`` (warning) — the sends on a
-  declared pair move a total percentage other than 100% of its volume
-  (counted over the unrolled net, so it works without ``--bind``).
+  declared pair move a total percentage other than 100% of its volume,
+  or sends move any share of a pair with zero declared volume (counted
+  over the unrolled net, so it works without ``--bind``).
 - **PM083** ``net-unreachable-transition`` (warning) — an action
   statement in the scheme that emits no transition at the probe binding
   (e.g. a condition that can never hold).
@@ -156,13 +157,22 @@ def _check_multiplicity(net: CommNet, model: AbstractBoundModel) -> list[Diagnos
     out = []
     declared = {(int(s), int(d)) for s, d in zip(*np.nonzero(links))}
     for pair in sorted(declared | set(sends)):
-        if links[pair] <= 0:
-            continue  # zero-volume pairs are the linter's PM073
         events = sends.get(pair, [])
         pct = sum(e.percent for e in events)
+        line = min((e.line for e in events if e.line), default=0)
+        if links[pair] <= 0:
+            if pct > 0:
+                out.append(PM082.at(
+                    line,
+                    f"transfer on zero-volume pair {pair[0]}->{pair[1]}: "
+                    f"{len(events)} send(s) moving {pct:.4f}% of a pair "
+                    "the link section declares no volume for",
+                    hint="the transfer moves no bytes; declare the pair's "
+                         "volume in the link section or drop the send",
+                ))
+            continue
         if abs(pct - 100.0) <= _TOLERANCE * 100:
             continue
-        line = min((e.line for e in events if e.line), default=0)
         out.append(PM082.at(
             line,
             f"multiplicity mismatch on pair {pair[0]}->{pair[1]}: "

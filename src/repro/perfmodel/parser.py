@@ -25,21 +25,19 @@ __all__ = ["parse", "parse_expression", "MAX_NESTING"]
 #: what keeps a hostile model inside the Python stack for all of them.  A
 #: nested statement, a unary or right-associative operator and each further
 #: operator of a chain spend one level — one level of AST depth each; a
-#: bracketed sub-expression re-enters the whole precedence ladder (about 20
-#: frames of this parser, against 4 for a statement) and spends
-#: ``_BRACKET_COST``.
+#: bracketed sub-expression re-enters the whole expression grammar and
+#: spends ``_BRACKET_COST``.
 MAX_NESTING = 128
 _BRACKET_COST = 5
 
 _TYPE_KEYWORDS = {"int", "double", "float", "long", "char", "void"}
 
-# binary operators by precedence level, loosest first
-_OR = frozenset({"||"})
-_AND = frozenset({"&&"})
-_EQUALITY = frozenset({"==", "!="})
-_RELATIONAL = frozenset({"<", ">", "<=", ">="})
-_ADDITIVE = frozenset({"+", "-"})
-_MULTIPLICATIVE = frozenset({"*", "/", "%"})
+#: left-associative binary operators and their precedence (tighter binds
+#: higher)
+_PRECEDENCE = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
 
 
 class _Parser:
@@ -439,7 +437,7 @@ class _Parser:
         return left
 
     def parse_ternary(self) -> ast.Expr:
-        cond = self.parse_logical_or()
+        cond = self.parse_binary()
         if self.tok.is_punct("?"):
             line = self.tok.line
             self.advance()
@@ -449,36 +447,32 @@ class _Parser:
             return ast.Conditional(cond, then, otherwise, line=line)
         return cond
 
-    def _binary_level(self, sub, ops: frozenset[str]) -> ast.Expr:
+    def parse_binary(self, min_prec: int = 1) -> ast.Expr:
+        """Binary operators binding at least as tight as ``min_prec``.
+
+        Each operator spends one nesting level, kept until an operator of
+        lower precedence ends its chain: ``chains`` holds, per precedence
+        with a chain open, the depth from before that chain.
+        """
         outer = self.depth
-        left = sub()
-        while self.tok.kind is TokenKind.PUNCT and self.tok.text in ops:
+        chains: list[tuple[int, int]] = []
+        left = self.parse_unary()
+        while self.tok.kind is TokenKind.PUNCT:
             op = self.tok.text
+            prec = _PRECEDENCE.get(op, 0)
+            if prec < min_prec:
+                break
             line = self.tok.line
             self.advance()
+            while chains and chains[-1][0] > prec:
+                self.depth = chains.pop()[1]
+            if not chains or chains[-1][0] < prec:
+                chains.append((prec, self.depth))
             self.nest()  # a left-deep chain deepens the tree per operator
-            right = sub()
+            right = self.parse_binary(prec + 1)
             left = ast.Binary(op, left, right, line=line)
         self.depth = outer
         return left
-
-    def parse_logical_or(self) -> ast.Expr:
-        return self._binary_level(self.parse_logical_and, _OR)
-
-    def parse_logical_and(self) -> ast.Expr:
-        return self._binary_level(self.parse_equality, _AND)
-
-    def parse_equality(self) -> ast.Expr:
-        return self._binary_level(self.parse_relational, _EQUALITY)
-
-    def parse_relational(self) -> ast.Expr:
-        return self._binary_level(self.parse_additive, _RELATIONAL)
-
-    def parse_additive(self) -> ast.Expr:
-        return self._binary_level(self.parse_multiplicative, _ADDITIVE)
-
-    def parse_multiplicative(self) -> ast.Expr:
-        return self._binary_level(self.parse_unary, _MULTIPLICATIVE)
 
     def parse_unary(self) -> ast.Expr:
         t = self.tok

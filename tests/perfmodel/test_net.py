@@ -30,6 +30,7 @@ EXPECTED = {
     "net_orphan": ("PM081", WARNING, 11),
     "net_multiplicity": ("PM082", WARNING, 9),
     "net_unreachable": ("PM083", WARNING, 15),
+    "net_zero_pair": ("PM082", WARNING, 10),
 }
 
 

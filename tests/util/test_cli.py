@@ -50,6 +50,41 @@ class TestCommands:
         assert "Ext" in capsys.readouterr().out
 
 
+class TestTopologyCommands:
+    def test_show_renders_preset_tree(self, capsys):
+        assert main(["topology", "show", "--preset", "two_site"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("two_site:\nwan  [site]")
+        assert "site1  [subnet]" in out and "s1m03  [machine]" in out
+
+    def test_check_defaults_to_every_preset(self, capsys):
+        assert main(["topology", "check"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "clusters_of_clusters: ok", "two_site: ok"]
+
+    def test_flat_cluster_file_has_no_topology(self, tmp_path, capsys):
+        path = tmp_path / "paper.json"
+        assert main(["cluster", "--preset", "paper"]) == 0
+        path.write_text(capsys.readouterr().out)
+        assert main(["topology", "show", "--file", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"{path}: no topology attached (flat pairwise mesh)\n")
+        assert main(["topology", "check", "--file", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"{path}: no topology attached (flat pairwise mesh) — ok\n")
+
+    @pytest.mark.parametrize("command", ["show", "check"])
+    def test_unknown_preset_is_usage_error(self, command):
+        with pytest.raises(SystemExit, match="unknown topology preset "
+                           "'nope'; available: clusters_of_clusters, "
+                           "two_site"):
+            main(["topology", command, "--preset", "nope"])
+
+    def test_show_without_target_is_usage_error(self):
+        with pytest.raises(SystemExit, match="needs --preset or --file"):
+            main(["topology", "show"])
+
+
 class TestCheckCommand:
     DEFECT = """
     algorithm Oob(int p) {
