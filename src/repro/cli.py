@@ -4,9 +4,10 @@ Commands
 --------
 ``compile FILE``
     Compile a PMDL model file (static analysis included), print the
-    canonical source, and — when ``--bind`` supplies parameter values —
-    run the consistency linter; analyzer errors and lint issues exit
-    nonzero.
+    canonical source, and — when ``--bind`` supplies parameter values
+    (the rest take their probe values) — check that the scheme performs
+    exactly the declared volumes (PM082); analyzer errors and coverage
+    findings exit nonzero.
 ``check FILE [FILE ...]``
     Static analysis only: report coded ``PM0xx`` diagnostics without
     binding parameters.  ``--strict`` fails on warnings, ``--json`` emits
@@ -186,8 +187,27 @@ def _parse_bindings(pairs: list[str]) -> dict:
     return bindings
 
 
+def _bindings_per_model(models: dict, bindings: dict, target: str) -> dict:
+    """Split ``--bind`` values among ``models`` by parameter name.
+
+    A name that no algorithm in ``target`` declares is a usage error,
+    not a value to drop silently.
+    """
+    unknown = set(bindings).difference(
+        *(model.param_names for model in models.values()))
+    if unknown:
+        from .util.errors import OptionError
+
+        raise OptionError(
+            f"--bind {', '.join(sorted(unknown))}: no algorithm in "
+            f"{target} has a parameter of that name")
+    return {name: {p: v for p, v in bindings.items() if p in model.param_names}
+            for name, model in models.items()}
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
-    from .perfmodel import compile_source, lint_model, parse, stub_externals
+    from .perfmodel import compile_source, parse, stub_externals
+    from .perfmodel.netcheck import check_coverage, unroll
     from .perfmodel.printer import format_unit
     from .util.errors import PMDLError
 
@@ -204,23 +224,24 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     print()
     print(format_unit(parse(source)))
 
-    if args.bind:
-        bindings = _parse_bindings(args.bind)
-        exit_code = 0
-        for name, model in models.items():
-            wanted = {p: v for p, v in bindings.items()
-                      if p in model.param_names}
-            try:
-                bound = model.bind(**wanted)
-            except PMDLError as exc:
-                print(f"error binding {name}: {exc}", file=sys.stderr)
-                return 1
-            report = lint_model(bound)
-            print(f"{name}: {report}")
-            if not report.ok:
-                exit_code = 1
-        return exit_code
-    return 0
+    if not args.bind:
+        return 0
+    wanted = _bindings_per_model(models, _parse_bindings(args.bind), args.file)
+    exit_code = 0
+    for name, model in models.items():
+        try:
+            # Unbound parameters take their probe values, as in `repro net`.
+            bound, net = unroll(model, wanted[name])
+        except PMDLError as exc:
+            print(f"error binding {name}: {exc}", file=sys.stderr)
+            return 1
+        diags = check_coverage(net, bound)
+        print(f"{name}: {len(diags)} coverage finding(s)")
+        for diag in diags:
+            print(f"  {diag.render()}")
+        if diags:
+            exit_code = 1
+    return exit_code
 
 
 def _check_targets(args: argparse.Namespace) -> list[tuple[str, str, dict | None]]:
@@ -309,7 +330,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
         print("nothing to unroll: pass FILE or --app", file=sys.stderr)
         return 2
 
-    bindings = _parse_bindings(args.bind) if args.bind else None
+    bindings = _parse_bindings(args.bind) if args.bind else {}
     exit_code = 0
     dot_chunks: list[str] = []
     traced = False
@@ -319,13 +340,12 @@ def _cmd_net(args: argparse.Namespace) -> int:
         except PMDLError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 1
+        wanted = _bindings_per_model(models, bindings, name)
         for mname, model in models.items():
             try:
                 # User bindings override the probe defaults per parameter,
                 # so `--bind p=6` works without spelling out every value.
-                wanted = ({p: v for p, v in bindings.items()
-                           if p in model.param_names} if bindings else None)
-                bound, net = unroll(model, wanted)
+                bound, net = unroll(model, wanted[mname])
             except PMDLError as exc:
                 print(f"error binding {mname}: {exc}", file=sys.stderr)
                 return 1
@@ -373,6 +393,7 @@ def _topology_targets(args: argparse.Namespace) -> list[tuple[str, "object"]]:
     """(name, cluster) pairs selected by --preset/--file flags."""
     from .cluster import TOPOLOGY_PRESETS
     from .cluster.serialize import cluster_from_json
+    from .util.errors import ClusterError
 
     targets: list[tuple[str, object]] = []
     if args.preset:
@@ -384,7 +405,11 @@ def _topology_targets(args: argparse.Namespace) -> list[tuple[str, "object"]]:
             )
         targets.append((args.preset, factory()))
     if args.file:
-        targets.append((args.file, cluster_from_json(open(args.file).read())))
+        try:
+            cluster = cluster_from_json(open(args.file).read())
+        except ClusterError as exc:
+            raise SystemExit(f"{args.file}: invalid topology: {exc}")
+        targets.append((args.file, cluster))
     return targets
 
 
@@ -602,11 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("compile", help="compile + lint a PMDL model file")
+    pc = sub.add_parser("compile", help="compile and check a PMDL model file")
     pc.add_argument("file")
     pc.add_argument("--bind", nargs="+", metavar="NAME=VALUE", default=None,
-                    help="bind parameters (JSON values) and run the "
-                         "consistency linter; lint issues exit nonzero")
+                    help="bind parameters (JSON values; the rest take "
+                         "probe values) and check the scheme's coverage "
+                         "of the declared volumes; findings exit nonzero")
     pc.set_defaults(fn=_cmd_compile)
 
     pchk = sub.add_parser(

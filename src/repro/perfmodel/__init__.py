@@ -18,7 +18,6 @@ from .compiler import (
     stub_externals,
 )
 from .diagnostics import RULES, Diagnostic, DiagnosticReport, Severity
-from .lint import LintReport, lint_model
 from .interp import Ref, StructValue
 from .lexer import tokenize
 from .model import (
@@ -47,8 +46,6 @@ __all__ = [
     "DiagnosticReport",
     "Severity",
     "RULES",
-    "lint_model",
-    "LintReport",
     "format_coords",
     "format_algorithm",
     "format_expression",

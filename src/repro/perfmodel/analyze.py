@@ -19,8 +19,8 @@ clean.
 
 A second, communication-structure pass builds the static transfer graph of
 the ``scheme`` and flags processors that receive but never compute,
-declared ``link`` rules the scheme never exercises (the symbolic
-generalisation of the bound-model linter), and single-port serialization
+declared ``link`` rules the scheme never exercises (the symbolic side of
+the net checker's PM082 coverage check), and single-port serialization
 hotspots — ``par``-driven fan-in/fan-out the estimator will price.
 
 Entry point: :func:`analyze_algorithm` for a parsed AST.  Raw text goes

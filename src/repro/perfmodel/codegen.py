@@ -18,7 +18,7 @@ one ``exec`` (a :class:`ModelCode`):
   :class:`~repro.perfmodel.model.LinearActionVisitor`'s ``compute``,
   ``transfer``, ``enter_par``/``next_par_branch``/``exit_par`` and
   ``at_line`` — with linear processor indices, so trace recording, net
-  lowering, linting and the timeline oracle are sinks over one executor.
+  lowering and the timeline oracle are sinks over one executor.
 
 ``A`` is the bound parameter tuple (:meth:`ModelCode.pack`) and ``E`` the
 coordinate extents.  Semantics are the C-like ones of

@@ -94,9 +94,11 @@ def _front_end(
                 item, f"duplicate algorithm definition {item.name!r}")
             continue
         seen.add(item.name)
-        declared = ({node.name for node in ast.walk(item)
-                     if isinstance(node, ast.Call)}
-                    if assume_declared else set(externals or ()))
+        # one walk for the called names, and only if something reads them
+        called = ({node.name for node in ast.walk(item)
+                   if isinstance(node, ast.Call)}
+                  if assume_declared or net_check else set())
+        declared = called if assume_declared else set(externals or ())
         findings = check_algorithm(item, structs, declared)
         if findings:
             details = "\n  ".join(f"line {n}: {msg}" for n, msg in findings)
@@ -108,7 +110,7 @@ def _front_end(
         errors = [d for d in diags if d.severity >= Severity.ERROR]
         if net_check and not errors:
             # a model the analyzer refuses is not unrolled
-            diags += check_algorithm_net(item, structs, externals)
+            diags += check_algorithm_net(item, structs, called, externals)
             errors = [d for d in diags if d.severity >= Severity.ERROR]
         error = None
         if errors:

@@ -1,7 +1,7 @@
 """Coded diagnostics for PMDL tooling.
 
 Every defect the static analyzer (:mod:`repro.perfmodel.analyze`) or the
-consistency linter (:mod:`repro.perfmodel.lint`) can report is identified by
+net checker (:mod:`repro.perfmodel.netcheck`) can report is identified by
 a stable ``PM0xx`` rule code, so tests, editors and CI can match on codes
 rather than message text.  A :class:`Diagnostic` is one finding (code,
 severity, source line, message); a :class:`DiagnosticReport` is the ordered
@@ -82,7 +82,7 @@ class Rule:
         )
 
 
-#: The global rule registry, keyed by code (filled by analyze.py / lint.py).
+#: The global rule registry, keyed by code (filled by analyze.py / netcheck.py).
 RULES: dict[str, Rule] = {}
 
 

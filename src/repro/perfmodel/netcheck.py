@@ -16,10 +16,12 @@ Rules:
 - **PM081** ``net-orphan-message`` (warning) — a transfer whose message
   place no receive ever consumes: the destination performs no compute at
   or after the send, so the modelled arrival never synchronises.
-- **PM082** ``net-multiplicity-mismatch`` (warning) — the sends on a
-  declared pair move a total percentage other than 100% of its volume,
-  or sends move any share of a pair with zero declared volume (counted
-  over the unrolled net, so it works without ``--bind``).
+- **PM082** ``net-multiplicity-mismatch`` (warning) — the actions on a
+  declared volume (a processor's computation, a pair's communication,
+  self pairs included) perform a total percentage other than 100% of
+  it, any action performs a share of a zero volume, or an action
+  performs a negative percentage.  :func:`check_coverage` is the only
+  code that decides this; ``repro compile --bind`` runs it alone.
 - **PM083** ``net-unreachable-transition`` (warning) — an action
   statement in the scheme that emits no transition at the probe binding
   (e.g. a condition that can never hold).
@@ -50,6 +52,7 @@ from .net import MAX_NET_EVENTS, CommNet, NetTooLarge, lower_model
 __all__ = [
     "probe_bindings",
     "unroll",
+    "check_coverage",
     "check_net",
     "check_model_net",
     "check_algorithm_net",
@@ -62,7 +65,7 @@ PM080 = register_rule("PM080", "net-deadlock", Severity.ERROR,
 PM081 = register_rule("PM081", "net-orphan-message", Severity.WARNING,
                       "message with no matching receive in the net")
 PM082 = register_rule("PM082", "net-multiplicity-mismatch", Severity.WARNING,
-                      "sends on a pair do not move 100% of its declared volume")
+                      "actions on a declared volume do not perform 100% of it")
 PM083 = register_rule("PM083", "net-unreachable-transition", Severity.WARNING,
                       "scheme action unrolls to no transition at the probe binding")
 PM084 = register_rule("PM084", "net-analysis-skipped", Severity.INFO,
@@ -148,38 +151,49 @@ def _check_orphans(net: CommNet) -> list[Diagnostic]:
     return out
 
 
-def _check_multiplicity(net: CommNet, model: AbstractBoundModel) -> list[Diagnostic]:
-    links = model.link_volumes()
-    sends: dict[tuple[int, int], list] = {}
-    for e in net.events:
-        if e.is_transfer and e.a != e.b:
-            sends.setdefault((e.a, e.b), []).append(e)
+def check_coverage(net: CommNet, model: AbstractBoundModel) -> list[Diagnostic]:
+    """PM082: the net's actions must perform exactly 100% of every
+    declared compute and link volume, no share of a zero volume, and no
+    negative percentage.  Self transfers count like any other pair."""
     out = []
-    declared = {(int(s), int(d)) for s, d in zip(*np.nonzero(links))}
-    for pair in sorted(declared | set(sends)):
-        events = sends.get(pair, [])
+    acts: dict[tuple[int, int], list] = {}  # (proc, -1) or (src, dst)
+    for e in net.events:
+        if e.percent < 0:
+            out.append(PM082.at(
+                e.line, f"negative percentage: {e.label()} performs "
+                        f"{e.percent:.4f}% of a volume"))
+        acts.setdefault((e.a, e.b), []).append(e)
+    node, links = model.node_volumes(), model.link_volumes()
+    declared = {(int(i), -1) for i in np.flatnonzero(node > 0)}
+    declared |= {(int(s), int(d)) for s, d in zip(*np.nonzero(links > 0))}
+    for a, b in sorted(declared | acts.keys()):
+        events = acts.get((a, b), [])
         pct = sum(e.percent for e in events)
+        volume = node[a] if b < 0 else links[a, b]
+        if (pct <= 0 if volume <= 0
+                else abs(pct - 100.0) <= _TOLERANCE * 100):
+            continue
         line = min((e.line for e in events if e.line), default=0)
-        if links[pair] <= 0:
-            if pct > 0:
-                out.append(PM082.at(
-                    line,
-                    f"transfer on zero-volume pair {pair[0]}->{pair[1]}: "
-                    f"{len(events)} send(s) moving {pct:.4f}% of a pair "
-                    "the link section declares no volume for",
-                    hint="the transfer moves no bytes; declare the pair's "
-                         "volume in the link section or drop the send",
-                ))
+        if b < 0:
+            where, did = f"processor {a}", f"{len(events)} compute(s)"
+        else:
+            where, did = f"pair {a}->{b}", f"{len(events)} send(s)"
+        if volume <= 0:
+            out.append(PM082.at(
+                line,
+                f"action on a zero volume, {where}: {did} perform "
+                f"{pct:.4f}% of a volume the model declares as zero",
+                hint="the action does no work; declare its volume in "
+                     "the node/link section or drop the action",
+            ))
             continue
-        if abs(pct - 100.0) <= _TOLERANCE * 100:
-            continue
+        unit = "units" if b < 0 else "bytes"
         out.append(PM082.at(
             line,
-            f"multiplicity mismatch on pair {pair[0]}->{pair[1]}: "
-            f"{len(events)} send(s) moving {pct:.4f}% of the declared "
-            f"volume ({links[pair]:g} bytes)",
-            hint="the net's sends must move exactly 100% of each declared "
-                 "pair volume",
+            f"coverage mismatch on {where}: {did} perform {pct:.4f}% of "
+            f"its declared volume ({volume:g} {unit})",
+            hint="the scheme must perform exactly 100% of each declared "
+                 "node and link volume",
         ))
     return out
 
@@ -214,7 +228,7 @@ def _check_lowered(
 ) -> list[Diagnostic]:
     out = _check_deadlock(net)
     out += _check_orphans(net)
-    out += _check_multiplicity(net, bound)
+    out += check_coverage(net, bound)
     out += _check_unreachable(net, algorithm)
     return out
 
@@ -250,15 +264,17 @@ def check_model_net(
 def check_algorithm_net(
     alg: ast.Algorithm,
     structs: dict[str, ast.StructDef],
+    called: set[str],
     externals: dict[str, Callable[..., Any]] | None = None,
 ) -> list[Diagnostic]:
     """Net checks for the front end: wrap the AST, probe-bind, check.
 
-    Schemes calling external functions with no binding cannot be unrolled
-    truthfully (a stub would fabricate coordinates); those skip with
-    PM084 unless ``externals`` provides the real callables.
+    ``called`` is the set of function names ``alg`` calls, which the
+    front end has already collected.  Schemes calling external functions
+    with no binding cannot be unrolled truthfully (a stub would fabricate
+    coordinates); those skip with PM084 unless ``externals`` provides the
+    real callables.
     """
-    called = {node.name for node in ast.walk(alg) if isinstance(node, ast.Call)}
     missing = called - set(externals or {})
     if missing:
         return [PM084.at(

@@ -34,11 +34,13 @@ class TestSeverity:
 class TestRuleRegistry:
     def test_analyzer_rules_registered(self):
         import repro.perfmodel.analyze  # noqa: F401 — registers PM0xx
-        import repro.perfmodel.lint    # noqa: F401 — registers PM07x
+        import repro.perfmodel.netcheck  # noqa: F401 — registers PM08x
         for code in ["PM001", "PM010", "PM020", "PM030", "PM040", "PM050",
-                     "PM060", "PM061", "PM062", "PM070", "PM074"]:
+                     "PM060", "PM061", "PM062", "PM080", "PM082"]:
             assert code in RULES
             assert rule(code).code == code
+        # the retired consistency-linter codes are PM082 findings now
+        assert not [code for code in RULES if code.startswith("PM07")]
 
     def test_duplicate_code_rejected(self):
         import repro.perfmodel.analyze  # noqa: F401

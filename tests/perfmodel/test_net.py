@@ -4,16 +4,27 @@ Each ``net_*`` fixture seeds exactly one structural defect; the tests
 assert the exact PM08x code, severity, and line.  The paper's models
 (EM3D, ParallelAxB, Jacobi) and the example models (ring, pipeline) must
 unroll cleanly — no PM08x errors or warnings at the probe binding.
+``TestCoverage`` pins PM082, the scheme-covers-its-volumes check, on
+hand-built bound models at fixed bindings.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.apps.em3d.model import EM3D_MODEL_SOURCE
+from repro.apps.em3d.model import EM3D_MODEL_SOURCE, em3d_model
 from repro.apps.jacobi.model import JACOBI_MODEL_SOURCE
+from repro.apps.matmul import bind_matmul_model, heterogeneous_distribution
 from repro.apps.matmul.model import MM_MODEL_SOURCE, make_get_processor
-from repro.perfmodel import check_source, compile_model, lower_model
+from repro.perfmodel import (
+    CallableModel,
+    MatrixModel,
+    check_net,
+    check_source,
+    compile_model,
+    lower_model,
+)
 from repro.perfmodel.diagnostics import Severity
 from repro.perfmodel.netcheck import check_model_net, probe_bindings
 from repro.util.errors import PMDLAnalysisError
@@ -26,6 +37,7 @@ WARNING = Severity.WARNING
 
 #: fixture stem -> (code, severity, line) that MUST appear in the report.
 EXPECTED = {
+    "net_compute_gap": ("PM082", WARNING, 9),
     "net_deadlock": ("PM080", ERROR, 12),
     "net_orphan": ("PM081", WARNING, 11),
     "net_multiplicity": ("PM082", WARNING, 9),
@@ -80,6 +92,79 @@ class TestSeededNetDefects:
     def test_all_net_fixtures_have_expectations(self):
         stems = {p.stem for p in FIXTURES.glob("net_*.pmdl")}
         assert stems == set(EXPECTED)
+
+
+def _matrix(node, declared, *actions):
+    """A builder model with 1000-byte links on the ``declared`` pairs
+    whose scheme performs ``actions`` in order: ``(percent, proc)`` is a
+    compute, ``(percent, src, dst)`` a transfer."""
+    links = np.zeros((len(node), len(node)))
+    for pair in declared:
+        links[pair] = 1000.0
+
+    def scheme(v):
+        for act in actions:
+            (v.compute if len(act) == 2 else v.transfer)(*act)
+    return MatrixModel(node, links, scheme=scheme)
+
+
+def _matmul(l):
+    speeds = np.array([[4.0, 1.0], [2.0, 3.0]])
+    return bind_matmul_model(heterogeneous_distribution(12, l, speeds), 8)
+
+
+UNDERCOUNTED = """
+algorithm Bad(int p) {
+  coord I=p;
+  node {I>=0: bench*(10);};
+  scheme { int i; par (i = 0; i < p; i++) 50%%[i]; };
+}
+"""
+
+#: case -> (bound model factory, PM082 count, text each finding set shows)
+COVERAGE = {
+    "undercounted_compute": (
+        lambda: compile_model(UNDERCOUNTED).bind(3), 3, ["50.0000%"]),
+    "overcounted_transfer": (
+        lambda: _matrix([1.0, 1.0], [(0, 1)],
+                        (100.0, 0, 1), (100.0, 0, 1), (100.0, 0), (100.0, 1)),
+        1, ["200.0000%"]),
+    # both directions: the declared 0->1 is missing, the 1->0 is phantom
+    "transfer_on_undeclared_pair": (
+        lambda: _matrix([1.0, 1.0], [(0, 1)],
+                        (100.0, 1, 0), (100.0, 0), (100.0, 1)),
+        2, ["pair 0->1", "pair 1->0"]),
+    "compute_on_zero_volume_processor": (
+        lambda: _matrix([1.0, 0.0], [], (100.0, 0), (100.0, 1)),
+        1, ["processor 1"]),
+    "negative_percent": (
+        lambda: _matrix([1.0], [], (-10.0, 0), (110.0, 0)), 1, ["negative"]),
+    # self transfers count like any pair: this one moves a zero volume
+    "self_pair": (
+        lambda: _matrix([1.0, 1.0], [], (100.0, 0), (100.0, 1), (100.0, 0, 0)),
+        1, ["pair 0->0"]),
+    "callable_model_default": (
+        lambda: CallableModel(3, lambda i: 5.0, lambda s, d: 64.0), 0, []),
+    "em3d": (
+        lambda: em3d_model().bind(
+            4, 100, [400, 300, 200, 100],
+            [[0, 5, 0, 3], [5, 0, 2, 0], [0, 2, 0, 1], [3, 0, 1, 0]]),
+        0, []),
+    "matmul_l4": (lambda: _matmul(4), 0, []),
+    "matmul_l6": (lambda: _matmul(6), 0, []),
+    "matmul_l12": (lambda: _matmul(12), 0, []),
+}
+
+
+class TestCoverage:
+    @pytest.mark.parametrize("case", list(COVERAGE))
+    def test_pm082_at_binding(self, case):
+        build, count, texts = COVERAGE[case]
+        diags = check_net(build())
+        assert [d.code for d in diags] == ["PM082"] * count, diags
+        assert all(d.severity is WARNING for d in diags)
+        for text in texts:
+            assert any(text in d.message for d in diags), (text, diags)
 
 
 class TestCleanModels:

@@ -3,10 +3,13 @@
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+RING = str(Path(__file__).parents[2] / "examples" / "models" / "ring.pmdl")
 
 
 class TestParser:
@@ -83,6 +86,25 @@ class TestTopologyCommands:
     def test_show_without_target_is_usage_error(self):
         with pytest.raises(SystemExit, match="needs --preset or --file"):
             main(["topology", "show"])
+
+    @pytest.mark.parametrize("command", ["show", "check"])
+    def test_invalid_topology_file_is_reported(self, command, tmp_path,
+                                               capsys):
+        # two_site with site1's protocols emptied fails Topology.bind
+        assert main(["cluster", "--preset", "two_site"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        levels = [blob["topology"]]
+        while levels:
+            level = levels.pop()
+            if level.get("name") == "site1":
+                level["protocols"] = []
+            levels += level.get("children", [])
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(SystemExit) as exc:
+            main(["topology", command, "--file", str(path)])
+        assert re.fullmatch(rf"{re.escape(str(path))}: invalid topology: "
+                            r".*site1.* no protocols.*", str(exc.value.code))
 
 
 class TestCheckCommand:
@@ -264,6 +286,13 @@ class TestNetCommand:
     def test_no_target_is_usage_error(self, capsys):
         assert main(["net"]) == 2
 
+    def test_unknown_bind_name_is_usage_error(self, capsys):
+        assert main(["net", RING, "--bind", "q=6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --bind q: no algorithm in {RING} "
+                                "has a parameter of that name\n")
+
 
 class TestCompileGating:
     def test_analysis_error_exits_nonzero(self, tmp_path, capsys):
@@ -273,6 +302,7 @@ class TestCompileGating:
         assert "PM010" in capsys.readouterr().err
 
     def test_bind_runs_linter_and_gates(self, tmp_path, capsys):
+        # the binding-level coverage check (PM082) decides the exit code
         f = tmp_path / "under.pmdl"
         f.write_text("""
         algorithm Bad(int p) {
@@ -282,8 +312,11 @@ class TestCompileGating:
         }
         """)
         assert main(["compile", str(f)]) == 0
+        capsys.readouterr()
         assert main(["compile", str(f), "--bind", "p=3"]) == 1
-        assert "50.0000%" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Bad: 3 coverage finding(s)" in out
+        assert "PM082" in out and "50.0000%" in out
 
     def test_bind_consistent_model_exits_zero(self, tmp_path, capsys):
         f = tmp_path / "ok.pmdl"
@@ -295,7 +328,18 @@ class TestCompileGating:
         }
         """)
         assert main(["compile", str(f), "--bind", "p=4"]) == 0
-        assert "consistent" in capsys.readouterr().out
+        assert "Ok: 0 coverage finding(s)" in capsys.readouterr().out
+
+    def test_bind_leaves_other_parameters_at_probe_values(self, capsys):
+        # v[p] is not bound: it takes the probe's all-ones at p=7
+        assert main(["compile", RING, "--bind", "p=7"]) == 0
+        assert "Ring: 0 coverage finding(s)" in capsys.readouterr().out
+
+    def test_unknown_bind_name_is_usage_error(self, capsys):
+        assert main(["compile", RING, "--bind", "q=6"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --bind q: no algorithm in {RING} "
+            "has a parameter of that name\n")
 
 
 class TestCampaignCommands:
