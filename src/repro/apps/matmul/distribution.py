@@ -41,11 +41,11 @@ __all__ = [
 ]
 
 
-def proportional_partition(total: int, weights: np.ndarray, minimum: int = 1) -> np.ndarray:
-    """Split ``total`` into ``len(weights)`` ints ≥ ``minimum``, areas ∝ weights.
+def proportional_partition(total: int, weights: np.ndarray) -> np.ndarray:
+    """Split ``total`` into ``len(weights)`` ints ≥ 1, areas ∝ weights.
 
-    Largest-remainder method: floor the proportional shares (clamped to the
-    minimum), then hand out the leftover units to the largest fractional
+    Largest-remainder method: floor the proportional shares (clamped to
+    one), then hand out the leftover units to the largest fractional
     remainders.  Deterministic; ties broken by index.
     """
     weights = np.asarray(weights, dtype=float)
@@ -54,12 +54,12 @@ def proportional_partition(total: int, weights: np.ndarray, minimum: int = 1) ->
         raise ReproError("cannot partition among zero parts")
     if (weights <= 0).any():
         raise ReproError("weights must be positive")
-    if total < minimum * k:
+    if total < k:
         raise ReproError(
-            f"cannot give {k} parts at least {minimum} from a total of {total}"
+            f"cannot give {k} parts at least 1 from a total of {total}"
         )
     ideal = weights / weights.sum() * total
-    base = np.maximum(np.floor(ideal).astype(int), minimum)
+    base = np.maximum(np.floor(ideal).astype(int), 1)
     deficit = total - int(base.sum())
     if deficit > 0:
         # Hand out missing units to the largest fractional remainders.
@@ -68,21 +68,21 @@ def proportional_partition(total: int, weights: np.ndarray, minimum: int = 1) ->
         for step in range(deficit):
             base[order[step % k]] += 1
     elif deficit < 0:
-        # The minimum clamp over-allocated; reclaim from the parts whose
-        # integer share most exceeds their ideal, never going below minimum.
+        # The clamp to one over-allocated; reclaim from the parts whose
+        # integer share most exceeds their ideal, never going below one.
         while deficit < 0:
             surplus = base - ideal
             order = sorted(range(k), key=lambda i: (-surplus[i], i))
             took = False
             for i in order:
-                if base[i] > minimum:
+                if base[i] > 1:
                     base[i] -= 1
                     deficit += 1
                     took = True
                     break
             if not took:  # pragma: no cover - guarded by the total check
                 raise ReproError("partition repair failed")
-    assert base.sum() == total and (base >= minimum).all()
+    assert base.sum() == total and (base >= 1).all()
     return base
 
 

@@ -15,8 +15,8 @@ Live progress goes to the **telemetry side channel** only: pass an
 wall time, done/total counts and an ETA extrapolated from completed
 cells) / ``campaign.finish`` events.  Wall-clock data never enters the
 :class:`ResultsWriter` — result rows stay a pure function of
-``(config, seed)``, bitwise-reproducible with or without a monitor
-attached.
+``(config, seed)``, bitwise-reproducible with or without a telemetry
+bus attached.
 """
 
 from __future__ import annotations

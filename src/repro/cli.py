@@ -23,12 +23,12 @@ Commands
     JSON produced by ``repro cluster``); ``check`` with neither validates
     every topology preset.
 ``trace``
-    Run an instrumented scenario (fault-tolerant Jacobi by default) and
+    Run an instrumented scenario (fault-tolerant Jacobi by default),
     write its Chrome-trace JSON — load it in Perfetto or
-    ``chrome://tracing`` for per-rank lanes plus nested runtime spans.
-``stats``
-    Run the same scenarios and print the metrics snapshot, selection-
-    cache statistics, and the Timeof prediction-accuracy table.
+    ``chrome://tracing`` for per-rank lanes plus nested runtime spans —
+    and print the metrics snapshot (selection-cache statistics included)
+    and the Timeof prediction-accuracy table.  ``--metrics PATH`` also
+    writes the snapshot as JSON.
 ``campaign run/check/list``
     Declarative scenario campaigns (see ``docs/CAMPAIGNS.md``): ``run``
     executes every cell of a campaign JSON and writes ``results.jsonl``
@@ -39,14 +39,13 @@ Commands
     appends the event stream as JSONL — both side channels, the results
     files stay byte-identical.  The paper's Figures 9–11 are campaigns:
     ``campaign run examples/campaigns/fig09.json`` (``fig10``, ``fig11``).
-``monitor CONFIG``
-    Run a campaign behind a live HTTP endpoint (``/metrics`` in
-    OpenMetrics text, ``/snapshot``, ``/events``, ``/healthz``); see
-    ``docs/OBSERVABILITY.md``.  ``--hold`` keeps serving after the last
-    cell so scrapers can collect the final state.
+``serve``
+    The multi-tenant prediction/selection job server (``docs/SERVING.md``);
+    it also serves ``/metrics``, ``/snapshot``, ``/events`` and ``/healthz``.
 
 Option errors (unknown campaign axis, bad registry string, malformed
-config) exit with code 2 and a one-line message — never a traceback.
+config, malformed ``--bind``/``--fail`` value) exit with code 2 and a
+one-line ``error:`` message — never a traceback.
 """
 
 from __future__ import annotations
@@ -56,9 +55,10 @@ import json
 import sys
 
 from .apps.matmul import run_matmul_hmpi
-from .cluster import multiprotocol_network, paper_network
-from .cluster.serialize import cluster_to_json
+from .cluster import TOPOLOGY_PRESETS, multiprotocol_network, paper_network
+from .cluster.serialize import cluster_from_json, cluster_to_json
 from .core import GreedyMapper
+from .util.errors import ClusterError, OptionError, PMDLError
 from .util.tables import Table
 
 __all__ = ["main"]
@@ -69,11 +69,11 @@ def _parse_fail(pairs: list[str]) -> dict[str, float]:
     for pair in pairs:
         name, sep, at = pair.partition("=")
         if not sep:
-            raise SystemExit(f"--fail expects MACHINE=VTIME, got {pair!r}")
+            raise OptionError(f"--fail expects MACHINE=VTIME, got {pair!r}")
         try:
             schedule[name] = float(at)
         except ValueError:
-            raise SystemExit(f"--fail {name}: {at!r} is not a number")
+            raise OptionError(f"--fail {name}: {at!r} is not a number")
     return schedule
 
 
@@ -136,25 +136,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     obs, outcome = _run_observed(args)
     print(outcome)
     obs.write_chrome_trace(args.out, metadata={"app": args.app})
-    doc = obs.chrome_trace()
-    print(f"wrote {args.out}: {len(doc['traceEvents'])} events "
-          f"({obs.snapshot()['spans']} runtime spans) — open in Perfetto "
+    snap = obs.snapshot()
+    print(f"wrote {args.out}: {len(obs.chrome_trace()['traceEvents'])} "
+          f"events ({snap['spans']} runtime spans) — open in Perfetto "
           f"or chrome://tracing")
     if args.metrics:
         with open(args.metrics, "w") as fh:
             fh.write(obs.metrics.to_json())
             fh.write("\n")
         print(f"wrote {args.metrics}: metrics snapshot")
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    obs, outcome = _run_observed(args)
-    snap = obs.snapshot()
-    if args.json:
-        print(json.dumps(snap, indent=2))
-        return 0
-    print(outcome)
     print()
     table = Table("metric", "labels", "type", "value",
                   title="Metrics snapshot")
@@ -179,11 +169,11 @@ def _parse_bindings(pairs: list[str]) -> dict:
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep:
-            raise SystemExit(f"--bind expects NAME=VALUE, got {pair!r}")
+            raise OptionError(f"--bind expects NAME=VALUE, got {pair!r}")
         try:
             bindings[name] = json.loads(value)
         except json.JSONDecodeError:
-            raise SystemExit(f"--bind {name}: {value!r} is not valid JSON")
+            raise OptionError(f"--bind {name}: {value!r} is not valid JSON")
     return bindings
 
 
@@ -196,8 +186,6 @@ def _bindings_per_model(models: dict, bindings: dict, target: str) -> dict:
     unknown = set(bindings).difference(
         *(model.param_names for model in models.values()))
     if unknown:
-        from .util.errors import OptionError
-
         raise OptionError(
             f"--bind {', '.join(sorted(unknown))}: no algorithm in "
             f"{target} has a parameter of that name")
@@ -209,7 +197,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from .perfmodel import compile_source, parse, stub_externals
     from .perfmodel.netcheck import check_coverage, unroll
     from .perfmodel.printer import format_unit
-    from .util.errors import PMDLError
 
     source = open(args.file).read()
     try:
@@ -273,7 +260,6 @@ def _net_dots(targets: list[tuple[str, str, dict | None]]) -> str:
     """
     from .perfmodel import compile_source
     from .perfmodel.netcheck import unroll
-    from .util.errors import PMDLError
 
     chunks: list[str] = []
     for name, source, externals in targets:
@@ -319,7 +305,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_net(args: argparse.Namespace) -> int:
     from .perfmodel import compile_source
     from .perfmodel.netcheck import check_net, unroll
-    from .util.errors import PMDLError
 
     args.files = [args.file] if args.file else []
     args.apps = args.app is not None
@@ -378,8 +363,6 @@ def _cmd_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from .cluster import TOPOLOGY_PRESETS
-
     presets = {
         "paper": paper_network,
         "multiprotocol": multiprotocol_network,
@@ -391,9 +374,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _topology_targets(args: argparse.Namespace) -> list[tuple[str, "object"]]:
     """(name, cluster) pairs selected by --preset/--file flags."""
-    from .cluster import TOPOLOGY_PRESETS
-    from .cluster.serialize import cluster_from_json
-    from .util.errors import ClusterError
 
     targets: list[tuple[str, object]] = []
     if args.preset:
@@ -427,8 +407,6 @@ def _cmd_topology_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology_check(args: argparse.Namespace) -> int:
-    from .cluster import TOPOLOGY_PRESETS
-
     targets = _topology_targets(args)
     if not targets:
         # Default: validate every topology preset (the CI smoke job).
@@ -507,53 +485,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     where = f" -> {args.out}/results.jsonl" if args.out else ""
     print(f"{len(writer.rows)} run(s), {errors} error(s){where}")
     return 1 if errors else 0
-
-
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    from .campaign import load_config, run_campaign
-    from .obs import EventBus, MetricsRegistry, MonitorServer
-
-    config = load_config(args.config)
-    registry = MetricsRegistry()
-    bus = EventBus(capacity=4096, sink=args.telemetry)
-
-    def progress_gauges(event) -> None:
-        # Fold campaign progress into scrapeable series so /metrics shows
-        # done/total/ETA alongside whatever the run itself records.
-        if event.category != "campaign":
-            return
-        p = event.payload
-        if event.name == "start":
-            registry.gauge("campaign.cells.total").set(float(p["total"]))
-            registry.gauge("campaign.cells.done").set(0.0)
-        elif event.name == "cell.finish":
-            registry.gauge("campaign.cells.done").set(float(p["done"]))
-            registry.gauge("campaign.eta_seconds").set(
-                float(p["eta_seconds"]))
-            if p["status"] != "ok":
-                registry.counter("campaign.cell.errors").inc()
-
-    bus.subscribe(progress_gauges)
-    server = MonitorServer(metrics=registry, telemetry=bus,
-                           host=args.host, port=args.port).start()
-    print(f"campaign {config.name!r}: monitoring at {server.url} "
-          f"(/metrics /snapshot /events /healthz)", flush=True)
-    try:
-        writer = run_campaign(config, args.out, telemetry=bus)
-        errors = sum(1 for r in writer.rows if r["status"] == "error")
-        where = f" -> {args.out}/results.jsonl" if args.out else ""
-        print(f"{len(writer.rows)} run(s), {errors} error(s){where}",
-              flush=True)
-        if args.hold > 0:
-            import time as _time
-
-            print(f"holding the endpoint for {args.hold:g}s "
-                  f"(ctrl-c to stop)", flush=True)
-            _time.sleep(args.hold)
-        return 1 if errors else 0
-    finally:
-        server.stop()
-        bus.close()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -671,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "mapping)")
     pn.set_defaults(fn=_cmd_net)
 
-    from .cluster import TOPOLOGY_PRESETS
-
     pk = sub.add_parser("cluster", help="dump a preset cluster as JSON")
     pk.add_argument("--preset",
                     choices=["paper", "multiprotocol",
@@ -697,20 +626,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
 
     pt = sub.add_parser(
-        "trace", help="run an instrumented scenario, write Chrome-trace JSON")
+        "trace", help="run an instrumented scenario, write Chrome-trace "
+                      "JSON, print metrics + accuracy")
     _scenario_flags(pt)
     pt.add_argument("--out", default="trace.json",
                     help="Chrome-trace output path (default trace.json)")
     pt.add_argument("--metrics", default=None, metavar="PATH",
                     help="also write the metrics snapshot JSON here")
     pt.set_defaults(fn=_cmd_trace)
-
-    ps = sub.add_parser(
-        "stats", help="run an instrumented scenario, print metrics + accuracy")
-    _scenario_flags(ps)
-    ps.add_argument("--json", action="store_true",
-                    help="print the raw snapshot JSON instead of tables")
-    ps.set_defaults(fn=_cmd_stats)
 
     pcamp = sub.add_parser(
         "campaign", help="declarative scenario campaigns (docs/CAMPAIGNS.md)")
@@ -740,22 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("config", nargs="?", default=None, metavar="CONFIG")
     cl.set_defaults(fn=_cmd_campaign_list)
 
-    pm = sub.add_parser(
-        "monitor", help="run a campaign behind a live HTTP monitoring "
-                        "endpoint (docs/OBSERVABILITY.md)")
-    pm.add_argument("config", metavar="CONFIG", help="campaign JSON file")
-    pm.add_argument("--host", default="127.0.0.1",
-                    help="bind address (default 127.0.0.1)")
-    pm.add_argument("--port", type=int, default=0,
-                    help="bind port (default 0 = ephemeral)")
-    pm.add_argument("--out", default=None, metavar="DIR",
-                    help="write results.jsonl + summary.json here")
-    pm.add_argument("--telemetry", default=None, metavar="FILE",
-                    help="append telemetry events as JSONL")
-    pm.add_argument("--hold", type=float, default=0.0, metavar="SECONDS",
-                    help="keep serving this long after the campaign ends")
-    pm.set_defaults(fn=_cmd_monitor)
-
     psv = sub.add_parser(
         "serve", help="multi-tenant HMPI prediction/selection server "
                       "(docs/SERVING.md)")
@@ -777,14 +684,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .util.errors import OptionError
-
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except OptionError as exc:
-        # Usage errors (bad registry strings, malformed campaign configs,
-        # CampaignError) exit like argparse does: message + code 2.
+        # Usage errors (bad registry strings, malformed campaign configs
+        # or --bind/--fail values, CampaignError) exit like argparse does:
+        # message + code 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,6 @@ from .faults import (
     TransientLinkFaults,
     attach_transient_faults,
     inject_faults,
-    random_fault_schedule,
 )
 from .link import (
     FAST_INTERCONNECT,
@@ -80,7 +79,6 @@ __all__ = [
     "TransientLinkFaults",
     "attach_transient_faults",
     "inject_faults",
-    "random_fault_schedule",
     "PAPER_SPEEDS",
     "cluster_to_dict",
     "cluster_from_dict",

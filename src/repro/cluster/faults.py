@@ -4,7 +4,7 @@ The paper names resource failures as the second HNOC challenge and points at
 FT-MPI; its conclusion envisions a library combining HMPI's heterogeneity
 support with fault tolerance.  This module provides the ingredient the
 simulator needs: a declarative schedule of machine deaths that can be applied
-to a cluster, plus helpers to build common scenarios.
+to a cluster.
 
 A failed machine makes every rank placed on it raise
 :class:`~repro.util.errors.MachineFailure` the next time it computes or
@@ -27,13 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..util.errors import ClusterError
-from ..util.rng import make_rng
 from .network import Cluster
 
 __all__ = [
     "FaultSchedule",
     "inject_faults",
-    "random_fault_schedule",
     "TransientFaultConfig",
     "TransientLinkFaults",
     "attach_transient_faults",
@@ -80,31 +78,6 @@ def inject_faults(cluster: Cluster, schedule: FaultSchedule) -> Cluster:
     for name, t in schedule.items():
         cluster.machine(name).fail_at = t
     return cluster
-
-
-def random_fault_schedule(
-    cluster: Cluster,
-    n_failures: int,
-    horizon: float,
-    seed: int = 0,
-    spare: frozenset[str] = frozenset(),
-) -> FaultSchedule:
-    """Draw ``n_failures`` distinct machines to fail before ``horizon``.
-
-    Machines in ``spare`` (e.g. the host machine) are never chosen.
-    Deterministic given ``seed``.
-    """
-    candidates = [m.name for m in cluster.machines if m.name not in spare]
-    if n_failures > len(candidates):
-        raise ClusterError(
-            f"cannot fail {n_failures} machines; only {len(candidates)} candidates"
-        )
-    rng = make_rng(seed)
-    chosen = rng.choice(len(candidates), size=n_failures, replace=False)
-    schedule = FaultSchedule()
-    for idx in sorted(int(i) for i in chosen):
-        schedule.add(candidates[idx], float(rng.uniform(0.0, horizon)))
-    return schedule
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,10 @@ def homogeneous_network(n: int, speed: float = 100.0) -> Cluster:
     return Cluster(machines, default_protocols=(TCP_100MBIT,))
 
 
-def uniform_network(speeds: Sequence[float], name_prefix: str = "m") -> Cluster:
-    """Machines with the given speeds and uniform default TCP links."""
-    machines = [Machine(name=f"{name_prefix}{i:02d}", speed=s) for i, s in enumerate(speeds)]
+def uniform_network(speeds: Sequence[float]) -> Cluster:
+    """Machines ``m00``, ``m01``, ... with the given speeds and uniform
+    default TCP links."""
+    machines = [Machine(name=f"m{i:02d}", speed=s) for i, s in enumerate(speeds)]
     return Cluster(machines, default_protocols=(TCP_100MBIT,))
 
 

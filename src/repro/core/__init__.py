@@ -19,7 +19,6 @@ from .api import (
 from .autotune import SizeSweepResult, auto_create, tune_group_size
 from .checkpoint import CheckpointStore, charged_load, charged_save, nbytes_of
 from .estimator import TimelineVisitor, estimate_breakdown, estimate_time
-from .linkprobe import LinkEstimate, ping_pong, probe_links
 from .group import HMPIGroup
 from .mapper import (
     MAPPER_REGISTRY,
@@ -42,7 +41,7 @@ from .seleng import (
     compile_trace,
     evaluate_mappings,
 )
-from .recon import kernel_benchmark, matmul_kernel, stencil_kernel, unit_benchmark
+from .recon import kernel_benchmark, matmul_kernel
 from .runtime import HMPI, HOST_RANK, HMPIRuntimeState, run_hmpi
 
 __all__ = [
@@ -60,9 +59,6 @@ __all__ = [
     "auto_create",
     "tune_group_size",
     "SizeSweepResult",
-    "probe_links",
-    "ping_pong",
-    "LinkEstimate",
     "estimate_breakdown",
     "TimelineVisitor",
     "Mapping",
@@ -81,10 +77,8 @@ __all__ = [
     "TraceEvaluator",
     "compile_trace",
     "evaluate_mappings",
-    "unit_benchmark",
     "kernel_benchmark",
     "matmul_kernel",
-    "stencil_kernel",
     "HMPI_COMM_WORLD_GROUP",
     "HMPI_Recon",
     "HMPI_Timeof",

@@ -166,6 +166,10 @@ def _class_representatives(pool: Sequence[int], labels: Sequence, k: int):
     return walk(0)
 
 
+#: Assignments :class:`ExhaustiveMapper` prices per batched evaluation.
+_EXHAUSTIVE_BATCH = 512
+
+
 class ExhaustiveMapper(Mapper):
     """Optimal selection by enumeration.
 
@@ -190,11 +194,9 @@ class ExhaustiveMapper(Mapper):
         self,
         reduce_symmetry: bool = True,
         max_evaluations: int = 200_000,
-        batch_size: int = 512,
     ):
         self.reduce_symmetry = reduce_symmetry
         self.max_evaluations = max_evaluations
-        self.batch_size = batch_size
 
     def select(
         self,
@@ -265,7 +267,7 @@ class ExhaustiveMapper(Mapper):
             for slot, proc in zip(free_slots, combo):
                 assignment[slot] = proc
             pending.append(tuple(assignment))
-            if len(pending) >= self.batch_size:
+            if len(pending) >= _EXHAUSTIVE_BATCH:
                 flush()
         flush()
         if stats is not None:

@@ -19,16 +19,7 @@ import numpy as np
 
 from ..mpi.launcher import MPIEnv
 
-__all__ = ["unit_benchmark", "kernel_benchmark", "matmul_kernel", "stencil_kernel"]
-
-
-def unit_benchmark(volume: float = 1.0) -> Callable[[MPIEnv], None]:
-    """A pure modelled benchmark of ``volume`` benchmark units."""
-
-    def bench(env: MPIEnv) -> None:
-        env.compute(volume)
-
-    return bench
+__all__ = ["kernel_benchmark", "matmul_kernel"]
 
 
 def kernel_benchmark(
@@ -59,16 +50,3 @@ def matmul_kernel(r: int = 8, seed: int = 0) -> Callable[[], np.ndarray]:
 
     return kernel
 
-
-def stencil_kernel(k: int = 64, seed: int = 0) -> Callable[[], np.ndarray]:
-    """The ``Serial_em3d`` benchmark core: update k nodal values, each a
-    linear function of its neighbours' values."""
-    rng = np.random.default_rng(seed)
-    values = rng.random(k + 2)
-    weights = rng.random((k, 3))
-
-    def kernel() -> np.ndarray:
-        stacked = np.stack([values[:-2], values[1:-1], values[2:]], axis=1)
-        return (weights * stacked).sum(axis=1)
-
-    return kernel

@@ -35,33 +35,27 @@ from .seleng import SelectionStats, TraceEvaluator
 
 __all__ = ["AnnealingMapper"]
 
+#: Initial temperature as a fraction of the seed mapping's predicted time.
+START_TEMP_FRACTION = 0.2
+
 
 class AnnealingMapper(Mapper):
     """Simulated annealing over swap/move neighbourhoods.
 
+    The greedy mapping seeds the walk.  The initial temperature is
+    :data:`START_TEMP_FRACTION` of its predicted time, cooled
+    geometrically to ~1e-3 of that over the budget.
+
     Parameters
     ----------
-    seed_mapper:
-        Produces the starting mapping (default greedy).
     moves:
         Total candidate evaluations (the budget).
-    start_temp_fraction:
-        Initial temperature as a fraction of the seed mapping's predicted
-        time; cooled geometrically to ~1e-3 of that over the budget.
     rng_seed:
         Determinism knob.
     """
 
-    def __init__(
-        self,
-        seed_mapper: Mapper | None = None,
-        moves: int = 400,
-        start_temp_fraction: float = 0.2,
-        rng_seed: int = 0,
-    ):
-        self.seed_mapper = seed_mapper or GreedyMapper()
+    def __init__(self, moves: int = 400, rng_seed: int = 0):
         self.moves = moves
-        self.start_temp_fraction = start_temp_fraction
         self.rng_seed = rng_seed
 
     def select(
@@ -80,7 +74,7 @@ class AnnealingMapper(Mapper):
         pinned = set(fixed)
         movable = [i for i in range(n) if i not in pinned]
 
-        current = self.seed_mapper.select(
+        current = GreedyMapper().select(
             model, netmodel, candidates, fixed, stats=stats
         )
         best = current
@@ -88,7 +82,7 @@ class AnnealingMapper(Mapper):
         if not movable:
             return best
 
-        temp = max(current.time * self.start_temp_fraction, 1e-12)
+        temp = max(current.time * START_TEMP_FRACTION, 1e-12)
         cooling = (1e-3) ** (1.0 / max(self.moves, 1))
         machine_of = netmodel.machine_of
         # The current mapping as processes and as machines: a trial edits

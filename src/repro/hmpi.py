@@ -113,7 +113,6 @@ class HMPISession:
         self.options = options
         self.results: list[MPIRunResult] = []
         self._closed = False
-        self._monitor = None
 
     # -- context management -------------------------------------------
     def __enter__(self) -> "HMPISession":
@@ -124,38 +123,7 @@ class HMPISession:
 
     def close(self) -> None:
         """Mark the session closed; further ``run`` calls are an error."""
-        if self._monitor is not None:
-            self._monitor.stop()
-            self._monitor = None
         self._closed = True
-
-    # -- monitoring ------------------------------------------------------
-    def monitor(self, host: str = "127.0.0.1", port: int = 0):
-        """Serve this session's observability over HTTP; returns the server.
-
-        Ensures the session carries an :class:`~repro.obs.Observability`
-        with a telemetry bus (creating one if the ``obs`` option is
-        unset) so subsequent :meth:`run` calls feed ``/metrics``,
-        ``/snapshot`` and ``/events``.  The server is stopped by
-        :meth:`close`, or earlier via the returned handle's ``stop()``.
-        """
-        from .obs import EventBus, MonitorServer, Observability
-
-        if self._closed:
-            raise OptionError("session is closed")
-        if self._monitor is not None:
-            return self._monitor
-        obs = self.options.get("obs")
-        if obs is None:
-            obs = Observability(telemetry=True)
-            self.options["obs"] = obs
-        elif obs.telemetry is None:
-            obs.telemetry = EventBus()
-        self._monitor = MonitorServer(
-            metrics=obs.metrics, telemetry=obs.telemetry,
-            snapshot_fn=obs.snapshot, host=host, port=port,
-        ).start()
-        return self._monitor
 
     # -- running -------------------------------------------------------
     def run(

@@ -33,7 +33,7 @@ from .metrics import (
     publish_selection_stats,
 )
 from .openmetrics import parse_openmetrics, render_openmetrics
-from .server import EVENTS_TAIL_CAP, MonitorRoutes, MonitorServer
+from .server import EVENTS_TAIL_CAP, MonitorRoutes
 from .spans import Span, SpanLog
 from .telemetry import TELEMETRY_SCHEMA_VERSION, EventBus, TelemetryEvent
 
@@ -50,7 +50,6 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "render_openmetrics",
     "parse_openmetrics",
-    "MonitorServer",
     "MonitorRoutes",
     "EVENTS_TAIL_CAP",
     "Span",

@@ -6,7 +6,7 @@ run time: every selection records its predicted time here (keyed by the
 performance model's name), applications report the engine-measured
 execution time of the corresponding region, and :meth:`report` reduces
 the pairs to per-model error distributions — count, mean/max relative
-error, bias direction — that ``repro stats``/``repro trace`` print and
+error, bias direction — that ``repro trace`` prints and
 EXPERIMENTS.md tabulates.
 
 Pairing is LIFO per key: a measurement of ``key`` resolves the *most

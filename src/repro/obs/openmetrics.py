@@ -16,7 +16,7 @@ Prometheus and friends:
 - the document ends with ``# EOF`` per the OpenMetrics spec.
 
 :func:`parse_openmetrics` is the matching format check: a small strict
-parser used by tests and the CI ``monitor-smoke`` job to prove the
+parser used by tests and the CI ``serve-smoke`` job to prove the
 endpoint's output round-trips (raises :class:`ValueError` on malformed
 text, returns ``{family: {"type": ..., "samples": [...]}}``).
 """

@@ -1,14 +1,13 @@
-"""Live monitoring endpoint, on the repo's one HTTP transport.
+"""The repo's one HTTP transport and its read-only monitoring routes.
 
 :class:`HttpTransport` is the only place socket bytes become a request:
 a bounded asyncio HTTP/1.1 reader (one request per connection), the
 response writer, and the ``run``/``start_background``/``stop``
-lifecycle.  :class:`MonitorServer` here and
-:class:`repro.serve.ServeServer` are both built on it, so a limit or a
-hardening fix lands once.
+lifecycle.  :class:`repro.serve.ServeServer` is built on it, so a limit
+or a hardening fix lands in one place.
 
-:class:`MonitorServer` serves four read-only views of a *running*
-session or campaign from a daemon thread:
+:class:`MonitorRoutes` is the transport-free monitoring surface the job
+server mounts next to its job API:
 
 ========== =============================================================
 Endpoint   Serves
@@ -21,14 +20,8 @@ Endpoint   Serves
 ========== =============================================================
 
 Everything is pull-based and lock-light: a scrape calls the snapshot
-function / bus tail under their own locks, so attaching a monitor to a
-hot simulation never blocks the simulated ranks for longer than one
-snapshot.  Port 0 (the default) lets the OS pick a free port —
-``server.port`` reports the bound one once started.
-
-The route logic itself lives in :class:`MonitorRoutes`, transport-free,
-so the job server serves the identical
-``/metrics``/``/snapshot``/``/events``/``/healthz`` surface.
+function / bus tail under their own locks, so a scrape never blocks the
+work it observes for longer than one snapshot.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ from urllib.parse import parse_qs, urlparse
 
 from .openmetrics import render_openmetrics
 
-__all__ = ["HttpTransport", "MonitorRoutes", "MonitorServer",
+__all__ = ["HttpTransport", "MonitorRoutes",
            "EVENTS_TAIL_CAP", "MAX_BODY", "MAX_HEADER_LINES", "READ_DEADLINE"]
 
 _OPENMETRICS_CTYPE = ("application/openmetrics-text; version=1.0.0; "
@@ -106,7 +99,7 @@ async def _write_response(writer: asyncio.StreamWriter, status: int,
 
 
 def json_error(status: int, message: str) -> tuple[int, str, str]:
-    """The ``{"error": ...}`` response both servers answer failures with."""
+    """The ``{"error": ...}`` response every failure is answered with."""
     return status, "application/json", json.dumps({"error": message}) + "\n"
 
 
@@ -227,9 +220,8 @@ class HttpTransport:
 class MonitorRoutes:
     """Transport-free monitoring routes: path → ``(status, ctype, body)``.
 
-    Shared by :class:`MonitorServer` and the job server in
-    :mod:`repro.serve`, so both expose the same scrape surface with the
-    same parsing and error behaviour.
+    The job server in :mod:`repro.serve` mounts them; a route whose
+    source (``snapshot_fn`` or ``telemetry``) is None stays unrouted.
     """
 
     def __init__(self, *,
@@ -278,51 +270,3 @@ class MonitorRoutes:
             body = "".join(e.to_json() + "\n" for e in events)
             return 200, "application/x-ndjson", body
         return None
-
-
-class MonitorServer(HttpTransport):
-    """Serve ``/metrics``, ``/snapshot``, ``/events``, ``/healthz``.
-
-    Parameters
-    ----------
-    metrics:
-        A :class:`MetricsRegistry` (or anything with ``snapshot()``).
-        Ignored when ``snapshot_fn`` is given.
-    telemetry:
-        An :class:`~repro.obs.telemetry.EventBus`; ``/events`` returns
-        its tail as NDJSON.  Optional — without it ``/events`` is 404.
-    snapshot_fn:
-        0-arg callable returning the snapshot dict; overrides
-        ``metrics`` (e.g. ``Observability.snapshot`` to fold selection
-        stats in).
-    host / port:
-        Bind address.  ``port=0`` picks a free port.
-    """
-
-    def __init__(self, *, metrics: Any = None,
-                 telemetry: Any = None,
-                 snapshot_fn: Callable[[], dict[str, Any]] | None = None,
-                 host: str = "127.0.0.1", port: int = 0):
-        if snapshot_fn is None and metrics is not None:
-            snapshot_fn = metrics.snapshot
-        if snapshot_fn is None and telemetry is None:
-            raise ValueError(
-                "MonitorServer needs metrics, snapshot_fn, or telemetry")
-        super().__init__(host=host, port=port, name="repro-monitor")
-        self._routes = MonitorRoutes(
-            snapshot_fn=snapshot_fn, telemetry=telemetry)
-
-    async def handle(self, method: str, path: str,
-                     body: bytes) -> tuple[int, str, str]:
-        if method != "GET":
-            return 405, "text/plain", "GET required\n"
-        return self._routes.handle(path) or (404, "text/plain", "not found\n")
-
-    def start(self) -> "MonitorServer":
-        return self.start_background()
-
-    def __enter__(self) -> "MonitorServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()

@@ -11,7 +11,7 @@ simulation or campaign is still running.  The bus is deliberately small:
 - an optional **JSONL sink** (path or file-like) for durable capture,
   one compact sorted-key object per line;
 - **subscriber callbacks** for live consumers (the ``--live`` status
-  line, progress gauges); a subscriber that raises is counted and
+  line); a subscriber that raises is counted and
   skipped, never allowed to break the emitting hot path;
 - **per-category sampling** — ``sample={"selection": 100}`` keeps one
   in every 100 ``selection.*`` events, taming hot paths like the

@@ -27,7 +27,7 @@ __all__ = [
     "VarDecl", "Declarator", "ExprStmt", "Block", "If", "For", "Par",
     "While", "ComputeAction", "TransferAction", "EmptyStmt",
     "Scheme", "Algorithm",
-    "iter_child_nodes", "walk",
+    "walk",
 ]
 
 
@@ -311,22 +311,6 @@ _SCALAR_TYPES = frozenset({"str", "int", "float", "bool"})
 def _field_names(cls: type) -> tuple[str, ...]:
     """The fields of ``cls`` that can hold a node or a list of nodes."""
     return tuple(f.name for f in fields(cls) if f.type not in _SCALAR_TYPES)
-
-
-def iter_child_nodes(node: Node) -> Iterator[Node]:
-    """Yield every direct child :class:`Node` of ``node``, in field order.
-
-    Lists of nodes are flattened; ``None`` children and non-node fields
-    (names, operators, literal values) are skipped.
-    """
-    for name in _field_names(type(node)):
-        value = getattr(node, name)
-        if isinstance(value, Node):
-            yield value
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
 
 
 def walk(node: Node) -> Iterator[Node]:

@@ -30,7 +30,6 @@ from .protocol import (
     SERVE_OPS,
     BadRequest,
     JobRequest,
-    JobTimeout,
     NotFound,
     QuotaExceeded,
     ServeError,
@@ -56,7 +55,6 @@ __all__ = [
     "ServeError",
     "BadRequest",
     "QuotaExceeded",
-    "JobTimeout",
     "NotFound",
     "PROTOCOL_VERSION",
     "SERVE_OPS",

@@ -45,7 +45,6 @@ __all__ = [
     "ServeError",
     "BadRequest",
     "QuotaExceeded",
-    "JobTimeout",
     "NotFound",
     "JobRequest",
     "validate_request",
@@ -91,12 +90,6 @@ class QuotaExceeded(ServeError):
     """Tenant or server capacity exhausted (HTTP 429)."""
 
     status = 429
-
-
-class JobTimeout(ServeError):
-    """The caller's wait or the job's budget expired (HTTP 504)."""
-
-    status = 504
 
 
 class NotFound(ServeError):

@@ -3,8 +3,8 @@
 One event loop owns everything that isn't pure computation: validation,
 quotas, the batch planner, job bookkeeping, and the monitoring surface.
 HTTP itself — request reading, response writing, the start/stop
-lifecycle — is :class:`~repro.obs.server.HttpTransport`, the transport
-``repro monitor`` uses too.  Computation happens in the
+lifecycle — is :class:`~repro.obs.server.HttpTransport`, the repo's one
+transport.  Computation happens in the
 :class:`~repro.serve.workers.WorkerPool` lanes; results come back via
 ``call_soon_threadsafe`` so the loop is never blocked by an evaluation.
 
@@ -26,8 +26,7 @@ job-level ``timeout`` finishes the job as ``timeout`` (504) even if no
 one is waiting; a worker result arriving after that is discarded.
 
 The monitoring routes (``/metrics``, ``/snapshot``, ``/events``,
-``/healthz``) are the exact :class:`~repro.obs.server.MonitorRoutes`
-logic the standalone ``repro monitor`` endpoint uses, fed by this
+``/healthz``) are :class:`~repro.obs.server.MonitorRoutes`, fed by this
 server's own registry and event bus — the server is its own ops
 dashboard.
 """

@@ -10,7 +10,6 @@ from .errors import (
     MPICommError,
     MPIError,
     MPIGroupError,
-    MPITruncationError,
     PMDLError,
     PMDLRuntimeError,
     PMDLSemanticError,
@@ -19,15 +18,8 @@ from .errors import (
 )
 from .gantt import render_gantt, utilization
 from .rng import DEFAULT_SEED, make_rng, spawn_rng
-from .tables import Table, format_series, format_table
-from .validate import (
-    check_length,
-    check_nonnegative,
-    check_positive,
-    check_rank,
-    check_square_matrix_of,
-    require,
-)
+from .tables import Table, format_table
+from .validate import check_nonnegative, check_positive
 
 __all__ = [
     "ReproError",
@@ -35,7 +27,6 @@ __all__ = [
     "MPIError",
     "MPICommError",
     "MPIGroupError",
-    "MPITruncationError",
     "DeadlockError",
     "MachineFailure",
     "PMDLError",
@@ -52,11 +43,6 @@ __all__ = [
     "render_gantt",
     "utilization",
     "format_table",
-    "format_series",
-    "require",
     "check_positive",
     "check_nonnegative",
-    "check_rank",
-    "check_length",
-    "check_square_matrix_of",
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "MPIError",
     "MPICommError",
     "MPIGroupError",
-    "MPITruncationError",
     "DeadlockError",
     "MachineFailure",
     "RankFailedError",
@@ -66,10 +65,6 @@ class MPICommError(MPIError):
 
 class MPIGroupError(MPIError):
     """Invalid group construction or accessor usage."""
-
-
-class MPITruncationError(MPIError):
-    """A receive buffer was too small for the matched message."""
 
 
 class DeadlockError(MPIError):

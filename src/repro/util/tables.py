@@ -1,7 +1,7 @@
 """Plain-text table rendering for the command line.
 
 Renders rows as aligned monospace tables: the ``repro`` commands' reports
-(``campaign list``, ``stats``) and the prediction-accuracy table.
+(``campaign list``, ``trace``) and the prediction-accuracy table.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Any
 
-__all__ = ["format_table", "format_series", "Table"]
+__all__ = ["format_table", "Table"]
 
 
 def _cell(value: Any, precision: int) -> str:
@@ -40,14 +40,6 @@ def format_table(
     lines.append(sep)
     for row in str_rows:
         lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_series(name: str, xs: Sequence[Any], ys: Sequence[Any], precision: int = 4) -> str:
-    """Render an (x, y) series, one point per line, labelled ``name``."""
-    lines = [f"series: {name}"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {_cell(x, precision)} -> {_cell(y, precision)}")
     return "\n".join(lines)
 
 

@@ -8,27 +8,7 @@ scientific-python optimization workflow.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import TypeVar
-
-from .errors import ReproError
-
-T = TypeVar("T")
-
-__all__ = [
-    "require",
-    "check_positive",
-    "check_nonnegative",
-    "check_rank",
-    "check_square_matrix_of",
-    "check_length",
-]
-
-
-def require(condition: bool, message: str, exc: type[Exception] = ReproError) -> None:
-    """Raise ``exc(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise exc(message)
+__all__ = ["check_positive", "check_nonnegative"]
 
 
 def check_positive(value: float, name: str, exc: type[Exception] = ValueError) -> float:
@@ -43,29 +23,3 @@ def check_nonnegative(value: float, name: str, exc: type[Exception] = ValueError
     if value < 0:
         raise exc(f"{name} must be >= 0, got {value!r}")
     return value
-
-
-def check_rank(rank: int, size: int, exc: type[Exception] = ValueError) -> int:
-    """Validate ``0 <= rank < size`` and return ``rank``."""
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise exc(f"rank must be an int, got {type(rank).__name__}")
-    if not 0 <= rank < size:
-        raise exc(f"rank {rank} out of range for size {size}")
-    return rank
-
-
-def check_length(seq: Sequence[T], n: int, name: str, exc: type[Exception] = ValueError) -> Sequence[T]:
-    """Validate ``len(seq) == n`` and return ``seq``."""
-    if len(seq) != n:
-        raise exc(f"{name} must have length {n}, got {len(seq)}")
-    return seq
-
-
-def check_square_matrix_of(mat: Sequence[Sequence[T]], n: int, name: str, exc: type[Exception] = ValueError) -> Sequence[Sequence[T]]:
-    """Validate ``mat`` is an ``n x n`` nested sequence and return it."""
-    if len(mat) != n:
-        raise exc(f"{name} must be {n}x{n}, got {len(mat)} rows")
-    for i, row in enumerate(mat):
-        if len(row) != n:
-            raise exc(f"{name} must be {n}x{n}, row {i} has length {len(row)}")
-    return mat

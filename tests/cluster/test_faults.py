@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.faults import FaultSchedule, inject_faults, random_fault_schedule
+from repro.cluster.faults import FaultSchedule, inject_faults
 from repro.cluster.presets import paper_network
 from repro.util.errors import ClusterError
 
@@ -32,26 +32,3 @@ class TestInjectFaults:
         with pytest.raises(ClusterError):
             inject_faults(paper_network(), FaultSchedule({"nope": 1.0}))
 
-
-class TestRandomFaultSchedule:
-    def test_deterministic(self):
-        c = paper_network()
-        a = dict(random_fault_schedule(c, 2, 10.0, seed=5).items())
-        b = dict(random_fault_schedule(c, 2, 10.0, seed=5).items())
-        assert a == b
-
-    def test_respects_spare(self):
-        c = paper_network()
-        s = random_fault_schedule(c, 3, 10.0, seed=1, spare=frozenset({"ws00"}))
-        assert "ws00" not in dict(s.items())
-
-    def test_count_and_horizon(self):
-        c = paper_network()
-        s = random_fault_schedule(c, 4, 7.0, seed=2)
-        assert len(s) == 4
-        assert all(0.0 <= t <= 7.0 for _, t in s.items())
-
-    def test_too_many_failures(self):
-        c = paper_network()
-        with pytest.raises(ClusterError):
-            random_fault_schedule(c, 10, 1.0)

@@ -1,29 +1,27 @@
-"""Benchmark factories for HMPI_Recon."""
+"""Benchmarks for HMPI_Recon: the default unit benchmark and the factories."""
 
 import numpy as np
 import pytest
 
 from repro.cluster import uniform_network
-from repro.core.recon import (
-    kernel_benchmark,
-    matmul_kernel,
-    stencil_kernel,
-    unit_benchmark,
-)
+from repro.core import run_hmpi
+from repro.core.recon import kernel_benchmark, matmul_kernel
 from repro.mpi import run_mpi
 
 
 class TestUnitBenchmark:
     def test_charges_declared_volume(self):
-        cluster = uniform_network([100.0])
-        bench = unit_benchmark(volume=5.0)
+        # Without a benchmark, recon charges `volume` units of pure
+        # computation: 5 units at speed 100 take 0.05 s.
+        def app(hmpi):
+            t0 = hmpi.env.wtime()
+            speed = hmpi.recon(volume=5.0)
+            return speed, hmpi.env.wtime() - t0
 
-        def app(env):
-            bench(env)
-            return env.wtime()
-
-        res = run_mpi(app, cluster)
-        assert res.results[0] == pytest.approx(0.05)
+        res = run_hmpi(app, uniform_network([100.0]))
+        speed, elapsed = res.results[0]
+        assert speed == pytest.approx(100.0)
+        assert elapsed == pytest.approx(0.05)
 
 
 class TestKernelBenchmark:
@@ -53,12 +51,3 @@ class TestKernels:
         k = matmul_kernel(r=4, seed=0)
         out = k()
         assert np.isfinite(out).all()
-
-    def test_stencil_kernel(self):
-        k = stencil_kernel(k=32, seed=1)
-        out = k()
-        assert out.shape == (32,)
-        assert np.isfinite(out).all()
-
-    def test_stencil_deterministic(self):
-        assert (stencil_kernel(16, seed=2)() == stencil_kernel(16, seed=2)()).all()

@@ -193,35 +193,3 @@ class TestEngineFTEvents:
         labels = {e.label for e in colls}
         assert {"barrier", "allreduce"} <= labels
         assert len([e for e in colls if e.label == "barrier"]) == 3
-
-
-class TestSessionMonitor:
-    def test_monitor_serves_a_session_run_until_close(self):
-        import json
-        import urllib.error
-        import urllib.request
-
-        from repro.hmpi import session
-        from repro.obs import parse_openmetrics
-
-        def app(hmpi):
-            hmpi.recon()
-            return hmpi.rank
-
-        def get(url):
-            with urllib.request.urlopen(url, timeout=5.0) as resp:
-                return resp.read().decode()
-
-        with session(uniform_network([100.0] * 3)) as hmpi:
-            server = hmpi.monitor()
-            assert hmpi.monitor() is server      # one server per session
-            assert isinstance(hmpi.options["obs"], Observability)
-            hmpi.run(app)
-            health = json.loads(get(server.url + "/healthz"))
-            assert health["status"] == "ok"
-            families = parse_openmetrics(get(server.url + "/metrics"))
-            assert families["hmpi_recon_calls"]["samples"] == [
-                ("hmpi_recon_calls_total", {}, 3.0)]
-            url = server.url
-        with pytest.raises(urllib.error.URLError):
-            get(url + "/healthz")

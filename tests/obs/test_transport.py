@@ -1,17 +1,17 @@
-"""Hostile requests against the one HTTP transport, under both servers.
+"""Hostile requests against the one HTTP transport.
 
-``MonitorServer`` and ``ServeServer`` are both built on
-:class:`repro.obs.server.HttpTransport`, so every malformed, oversized
-or stalled request must meet the same fate under either: a 400 or a
-closed connection, and a server that still answers ``/healthz``.
+``ServeServer`` is built on :class:`repro.obs.server.HttpTransport`, so
+every malformed, oversized or stalled request must meet the transport's
+fate: a 400 or a closed connection, and a server that still answers
+``/healthz``.
 """
 
+import json
 import socket
 import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry, MonitorServer
 from repro.obs import server as transport
 from repro.serve import ServeServer
 
@@ -42,13 +42,11 @@ STALLED = {
 }
 
 
-@pytest.fixture(params=["monitor", "serve"])
+# The transport has one server today; the param names it in the test ids.
+@pytest.fixture(params=["serve"])
 def server(request, monkeypatch):
     monkeypatch.setattr(transport, "READ_DEADLINE", 0.3)
-    if request.param == "monitor":
-        srv = MonitorServer(metrics=MetricsRegistry()).start()
-    else:
-        srv = ServeServer(workers=0).start_background()
+    srv = ServeServer(workers=0).start_background()
     yield srv
     srv.stop()
 
@@ -91,3 +89,27 @@ def test_stalled_client_is_closed_by_the_read_deadline(server, name):
 def test_non_get_on_monitoring_routes_is_405(server):
     status = _exchange(server, b"DELETE /metrics HTTP/1.1\r\n\r\n")
     assert status == "HTTP/1.1 405 Method Not Allowed"
+
+
+def test_empty_request_line_is_400(server):
+    assert _exchange(server, b"\r\n\r\n") == "HTTP/1.1 400 Bad Request"
+    assert _healthy(server)
+
+
+def test_handler_exception_is_a_500_json_and_the_server_lives(
+        server, monkeypatch):
+    def broken_snapshot():
+        raise RuntimeError("snapshot exploded")
+
+    monkeypatch.setattr(server._routes, "snapshot_fn", broken_snapshot)
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5.0) as sock:
+        sock.sendall(b"GET /metrics HTTP/1.1\r\n\r\n")
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 500 Internal Server Error"
+    assert b"Content-Type: application/json" in head
+    assert json.loads(body) == {"error": "RuntimeError: snapshot exploded"}
+    assert _healthy(server)

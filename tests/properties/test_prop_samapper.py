@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import paper_network
 from repro.cluster.presets import multiprotocol_network
-from repro.core.mapper import Mapping, _check_inputs
+from repro.core.mapper import GreedyMapper, Mapping, _check_inputs
 from repro.core.netmodel import NetworkModel
-from repro.core.samapper import AnnealingMapper
+from repro.core.samapper import START_TEMP_FRACTION, AnnealingMapper
 from repro.core.seleng import SelectionStats, TraceEvaluator
 from repro.perfmodel.builder import MatrixModel
 from repro.util.rng import make_rng
@@ -36,7 +36,7 @@ def reference_select(mapper, model, netmodel, candidates, fixed=None, *,
     pinned = set(fixed)
     movable = [i for i in range(n) if i not in pinned]
 
-    current = mapper.seed_mapper.select(
+    current = GreedyMapper().select(
         model, netmodel, candidates, fixed, stats=stats
     )
     best = current
@@ -44,7 +44,7 @@ def reference_select(mapper, model, netmodel, candidates, fixed=None, *,
     if not movable:
         return best
 
-    temp = max(current.time * mapper.start_temp_fraction, 1e-12)
+    temp = max(current.time * START_TEMP_FRACTION, 1e-12)
     cooling = (1e-3) ** (1.0 / max(mapper.moves, 1))
     assignment = list(current.processes)
     current_time = current.time

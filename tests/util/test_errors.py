@@ -12,7 +12,6 @@ from repro.util.errors import (
     MPICommError,
     MPIError,
     MPIGroupError,
-    MPITruncationError,
     PMDLError,
     PMDLRuntimeError,
     PMDLSemanticError,
@@ -25,14 +24,14 @@ class TestHierarchy:
     def test_everything_is_repro_error(self):
         for exc in (
             ClusterError, MPIError, MPICommError, MPIGroupError,
-            MPITruncationError, DeadlockError, PMDLError, PMDLSyntaxError,
+            DeadlockError, PMDLError, PMDLSyntaxError,
             PMDLSemanticError, PMDLRuntimeError, HMPIError, HMPIStateError,
             MappingError,
         ):
             assert issubclass(exc, ReproError)
 
     def test_mpi_family(self):
-        for exc in (MPICommError, MPIGroupError, MPITruncationError, DeadlockError):
+        for exc in (MPICommError, MPIGroupError, DeadlockError):
             assert issubclass(exc, MPIError)
 
     def test_pmdl_family(self):

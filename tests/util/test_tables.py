@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import Table, format_series, format_table
+from repro.util.tables import Table, format_table
 
 
 class TestFormatTable:
@@ -25,13 +25,6 @@ class TestFormatTable:
     def test_cell_count_mismatch(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
-
-
-class TestFormatSeries:
-    def test_points(self):
-        out = format_series("speedup", [1, 2], [1.5, 3.0])
-        assert "series: speedup" in out
-        assert "1 -> 1.5000" in out
 
 
 class TestTable:

@@ -2,28 +2,7 @@
 
 import pytest
 
-from repro.util.errors import ReproError
-from repro.util.validate import (
-    check_length,
-    check_nonnegative,
-    check_positive,
-    check_rank,
-    check_square_matrix_of,
-    require,
-)
-
-
-class TestRequire:
-    def test_passes_on_true(self):
-        require(True, "never raised")
-
-    def test_raises_default_exception(self):
-        with pytest.raises(ReproError, match="bad thing"):
-            require(False, "bad thing")
-
-    def test_raises_custom_exception(self):
-        with pytest.raises(ValueError):
-            require(False, "nope", ValueError)
+from repro.util.validate import check_nonnegative, check_positive
 
 
 class TestCheckPositive:
@@ -44,44 +23,3 @@ class TestCheckNonnegative:
         with pytest.raises(ValueError):
             check_nonnegative(-1e-9, "x")
 
-
-class TestCheckRank:
-    def test_valid_range(self):
-        assert check_rank(0, 4) == 0
-        assert check_rank(3, 4) == 3
-
-    @pytest.mark.parametrize("bad", [-1, 4, 100])
-    def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            check_rank(bad, 4)
-
-    def test_rejects_bool(self):
-        with pytest.raises(ValueError):
-            check_rank(True, 4)
-
-    def test_rejects_float(self):
-        with pytest.raises(ValueError):
-            check_rank(1.0, 4)
-
-
-class TestCheckLength:
-    def test_passes(self):
-        assert check_length([1, 2, 3], 3, "v") == [1, 2, 3]
-
-    def test_fails(self):
-        with pytest.raises(ValueError, match="length 2"):
-            check_length([1], 2, "v")
-
-
-class TestCheckSquareMatrix:
-    def test_passes(self):
-        mat = [[1, 2], [3, 4]]
-        assert check_square_matrix_of(mat, 2, "m") is mat
-
-    def test_wrong_rows(self):
-        with pytest.raises(ValueError):
-            check_square_matrix_of([[1, 2]], 2, "m")
-
-    def test_ragged(self):
-        with pytest.raises(ValueError, match="row 1"):
-            check_square_matrix_of([[1, 2], [3]], 2, "m")
