@@ -42,12 +42,9 @@ from .results import (
 from .runner import run_campaign, run_one
 from .scenarios import (
     CHURN_OPS,
-    CLUSTER_PRESETS,
-    LOAD_KINDS,
     ChurnEvent,
     apply_scenario,
     build_cluster,
-    build_load_model,
     normalize_churn,
 )
 
@@ -73,12 +70,9 @@ __all__ = [
     "check_against_baseline",
     "baseline_from_rows",
     "load_baseline",
-    "CLUSTER_PRESETS",
-    "LOAD_KINDS",
     "CHURN_OPS",
     "ChurnEvent",
     "build_cluster",
-    "build_load_model",
     "apply_scenario",
     "normalize_churn",
 ]

@@ -45,6 +45,7 @@ from ..util.errors import CampaignError
 from ..util.rng import DEFAULT_SEED, make_rng, spawn_rng
 from .drivers import Driver, resolve_driver
 from .results import canonical_json
+from .scenarios import apply_scenario, build_cluster, normalize_churn
 
 __all__ = [
     "CampaignConfig",
@@ -132,6 +133,21 @@ class CampaignConfig:
         self.fixed = dict(fixed)
         self.axes = dict(axes)
         self.raw = raw
+        self._check_worlds()
+
+    def _check_worlds(self) -> None:
+        """Build each distinct world the cells describe, so a malformed
+        cluster, deaths, transient, loads or churn value fails at load."""
+        names = [k for k in ("cluster", "deaths", "transient", "loads", "churn")
+                 if k in self.driver.params]
+        for combo in itertools.product(*(
+                self.axes.get(k) or [self.fixed.get(k, self.driver.defaults.get(k))]
+                for k in names)):
+            world = dict(zip(names, combo))
+            cluster = build_cluster(world.pop("cluster"))
+            churn = world.pop("churn", None)
+            apply_scenario(cluster, make_rng(0), **world)
+            normalize_churn(churn, cluster.size)
 
     # ------------------------------------------------------------------
     @property

@@ -1,12 +1,14 @@
 """Build simulation scenarios from declarative campaign specs.
 
-A campaign cell describes its world as plain JSON values — a cluster
-preset name or constructor dict, a per-machine load-model spec, machine
-deaths, transient link faults, and administrative churn events — and the
-builders here turn those into live objects.  Everything is validated
-eagerly with :class:`~repro.util.errors.CampaignError` so a typo in a
-campaign file fails at config load (exit code 2 from the CLI), not ten
-cells into a sweep.
+A campaign cell describes its world as plain JSON values: a ``cluster``
+world spec, per-machine ``loads``, machine ``deaths``, ``transient``
+link faults and administrative ``churn`` events.  Clusters, loads and
+transient faults are read by :mod:`repro.cluster.serialize`, the parser
+snapshots use; this module applies them to a cell's cluster and owns the
+churn events.  Errors are :class:`~repro.util.errors.CampaignError`;
+:class:`~repro.campaign.config.CampaignConfig` builds every distinct
+world when a config loads, so a typo fails there (exit code 2 from the
+CLI), not ten cells into a sweep.
 
 Stochastic pieces (``random_walk`` loads, transient fault schedules)
 take their seeds from the per-run RNG when the spec does not pin one, so
@@ -20,72 +22,22 @@ import math
 
 import numpy as np
 
-from ..cluster.faults import (
-    FaultSchedule,
-    TransientFaultConfig,
-    TransientLinkFaults,
-    attach_transient_faults,
-    inject_faults,
-)
-from ..cluster.load import (
-    DIURNAL_PROFILE,
-    ConstantLoad,
-    DiurnalLoad,
-    LoadModel,
-    RandomWalkLoad,
-    SquareWaveLoad,
-    StepLoad,
-)
+from ..cluster.faults import FaultSchedule, attach_transient_faults, inject_faults
 from ..cluster.network import Cluster
-from ..cluster.presets import (
-    TOPOLOGY_PRESETS,
-    clusters_of_clusters,
-    homogeneous_network,
-    multiprotocol_network,
-    paper_network,
-    random_network,
-    two_site_network,
-    uniform_network,
+from ..cluster.serialize import (
+    cluster_from_spec,
+    load_from_spec,
+    transient_faults_from_spec,
 )
-from ..util.errors import CampaignError, ClusterError, ReproError
+from ..util.errors import CampaignError, ClusterError
 
 __all__ = [
-    "CLUSTER_PRESETS",
-    "LOAD_KINDS",
     "CHURN_OPS",
     "build_cluster",
-    "build_load_model",
     "apply_scenario",
     "normalize_churn",
     "ChurnEvent",
 ]
-
-#: Cluster presets addressable by name in a campaign spec.
-CLUSTER_PRESETS = {
-    "paper": paper_network,
-    "multiprotocol": multiprotocol_network,
-    "two_site": two_site_network,
-    "clusters_of_clusters": clusters_of_clusters,
-}
-
-#: Constructor-dict cluster kinds (parameterized, so not bare presets).
-_CLUSTER_KINDS = ("uniform", "homogeneous", "random", "topology")
-
-#: Keyword arguments a ``topology`` cluster spec may forward to its
-#: preset factory — the JSON-representable shape/speed parameters only
-#: (protocol objects stay code-side).
-_TOPOLOGY_SPEC_KEYS = {
-    "two_site": ("machines_per_site", "speed"),
-    "clusters_of_clusters": ("sites", "subnets_per_site",
-                             "machines_per_subnet", "speeds"),
-}
-
-#: Load-model kinds accepted in per-machine load specs.  The first three
-#: mirror :mod:`repro.cluster.serialize`; ``random_walk`` is additional
-#: (it is seed-reconstructed, which a campaign can do and a snapshot
-#: cannot), and ``diurnal`` is the named daily cycle preset
-#: (:class:`repro.cluster.load.DiurnalLoad`).
-LOAD_KINDS = ("constant", "step", "square", "random_walk", "diurnal")
 
 #: Administrative churn operations.
 CHURN_OPS = ("leave", "join")
@@ -96,122 +48,13 @@ def _require(cond: bool, msg: str) -> None:
         raise CampaignError(msg)
 
 
-# ----------------------------------------------------------------------
-# clusters
-# ----------------------------------------------------------------------
-
 def build_cluster(spec) -> Cluster:
-    """Construct the cluster a cell runs on.
-
-    ``spec`` is a preset name from :data:`CLUSTER_PRESETS` or a dict —
-    ``{"kind": "uniform", "speeds": [...]}``,
-    ``{"kind": "homogeneous", "n": 4, "speed": 100}``,
-    ``{"kind": "random", "n": 6, "seed": 0}``, or
-    ``{"kind": "topology", "preset": "two_site", ...}`` where ``preset``
-    names a :data:`~repro.cluster.presets.TOPOLOGY_PRESETS` factory and
-    the remaining keys are its shape/speed parameters — which makes
-    *topology itself* a sweepable campaign axis (flat mesh vs
-    ``two_site`` vs ``clusters_of_clusters``).
-    """
-    if isinstance(spec, str):
-        _require(spec in CLUSTER_PRESETS,
-                 f"unknown cluster preset {spec!r}; "
-                 f"expected one of {', '.join(sorted(CLUSTER_PRESETS))}")
-        return CLUSTER_PRESETS[spec]()
-    _require(isinstance(spec, dict),
-             f"cluster spec must be a preset name or a dict, got {spec!r}")
-    kind = spec.get("kind")
-    _require(kind in _CLUSTER_KINDS,
-             f"unknown cluster kind {kind!r}; "
-             f"expected one of {', '.join(_CLUSTER_KINDS)}")
+    """The cluster a cell runs on, from its ``cluster`` world spec (the
+    ``topology`` kind makes topology itself a sweepable axis)."""
     try:
-        if kind == "uniform":
-            speeds = spec.get("speeds")
-            _require(isinstance(speeds, list) and speeds,
-                     "uniform cluster needs a non-empty 'speeds' list")
-            return uniform_network([float(s) for s in speeds])
-        if kind == "homogeneous":
-            return homogeneous_network(int(spec.get("n", 4)),
-                                       float(spec.get("speed", 100.0)))
-        if kind == "topology":
-            preset = spec.get("preset")
-            _require(preset in TOPOLOGY_PRESETS,
-                     f"unknown topology preset {preset!r}; expected one of "
-                     f"{', '.join(sorted(TOPOLOGY_PRESETS))}")
-            allowed = _TOPOLOGY_SPEC_KEYS[preset]
-            extra = set(spec) - {"kind", "preset"} - set(allowed)
-            _require(not extra,
-                     f"topology preset {preset!r} does not accept "
-                     f"{', '.join(sorted(extra))}; "
-                     f"allowed: {', '.join(allowed)}")
-            kwargs = {}
-            for key in allowed:
-                if key not in spec:
-                    continue
-                value = spec[key]
-                if key == "speeds":
-                    _require(isinstance(value, list) and value,
-                             "topology 'speeds' must be a non-empty list")
-                    kwargs[key] = [float(s) for s in value]
-                elif key == "speed":
-                    kwargs[key] = float(value)
-                else:
-                    kwargs[key] = int(value)
-            return TOPOLOGY_PRESETS[preset](**kwargs)
-        return random_network(int(spec.get("n", 6)),
-                              seed=int(spec.get("seed", 0)))
-    except (ReproError, ValueError, TypeError) as exc:
-        raise CampaignError(f"bad cluster spec {spec!r}: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# load models
-# ----------------------------------------------------------------------
-
-def build_load_model(spec: dict, rng: np.random.Generator) -> LoadModel:
-    """Construct one machine's load model from its spec dict.
-
-    A ``random_walk`` spec without an explicit ``seed`` draws one from
-    ``rng`` (the per-run stream), keeping the scenario deterministic per
-    run while varying across runs of a seed sweep.
-    """
-    _require(isinstance(spec, dict), f"load spec must be a dict, got {spec!r}")
-    kind = spec.get("kind")
-    _require(kind in LOAD_KINDS,
-             f"unknown load model kind {kind!r}; "
-             f"expected one of {', '.join(LOAD_KINDS)}")
-    try:
-        if kind == "constant":
-            return ConstantLoad(float(spec.get("share", 1.0)))
-        if kind == "step":
-            return StepLoad([(float(t), float(s)) for t, s in spec["steps"]],
-                            initial=float(spec.get("initial", 1.0)))
-        if kind == "square":
-            return SquareWaveLoad(
-                period=float(spec["period"]),
-                high=float(spec.get("high", 1.0)),
-                low=float(spec.get("low", 0.5)),
-                phase=float(spec.get("phase", 0.0)),
-            )
-        if kind == "diurnal":
-            profile = spec.get("profile", DIURNAL_PROFILE)
-            return DiurnalLoad(
-                day=float(spec.get("day", 24.0)),
-                profile=[(float(f), float(s)) for f, s in profile],
-                phase=float(spec.get("phase", 0.0)),
-            )
-        seed = spec.get("seed")
-        if seed is None:
-            seed = int(rng.integers(0, 2**63 - 1))
-        return RandomWalkLoad(
-            interval=float(spec["interval"]),
-            seed=int(seed),
-            start=float(spec.get("start", 1.0)),
-            step=float(spec.get("step", 0.2)),
-            floor=float(spec.get("floor", 0.05)),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CampaignError(f"bad load spec {spec!r}: {exc}") from exc
+        return cluster_from_spec(spec)
+    except ClusterError as exc:
+        raise CampaignError(f"bad cluster spec: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -285,9 +128,9 @@ def apply_scenario(
     """Apply deaths / transient faults / load models to ``cluster`` in place.
 
     ``deaths`` maps machine index (JSON string or int) to fail vtime;
-    ``transient`` is a :class:`TransientFaultConfig` field dict plus an
-    optional ``seed`` (drawn from ``rng`` when absent); ``loads`` maps
-    machine index to a load spec for :func:`build_load_model`.
+    ``transient`` is a :class:`~repro.cluster.faults.TransientFaultConfig`
+    field dict plus an optional ``seed`` (drawn from ``rng`` when absent);
+    ``loads`` maps machine index to a load-model spec.
     """
     def machine_index(key) -> int:
         try:
@@ -310,23 +153,19 @@ def apply_scenario(
         except (ClusterError, ValueError, TypeError) as exc:
             raise CampaignError(f"bad deaths spec {deaths!r}: {exc}") from exc
     if transient:
-        _require(isinstance(transient, dict),
-                 f"transient spec must be a dict, got {transient!r}")
-        blob = dict(transient)
-        seed = blob.pop("seed", None)
-        if seed is None:
-            seed = int(rng.integers(0, 2**63 - 1))
         try:
-            config = TransientFaultConfig(**blob)
-        except (ClusterError, TypeError) as exc:
-            raise CampaignError(
-                f"bad transient spec {transient!r}: {exc}") from exc
-        attach_transient_faults(
-            cluster, TransientLinkFaults(config, seed=int(seed)))
+            faults = transient_faults_from_spec(transient, rng)
+        except ClusterError as exc:
+            raise CampaignError(f"bad transient spec: {exc}") from exc
+        attach_transient_faults(cluster, faults)
     if loads:
         _require(isinstance(loads, dict),
                  f"loads must map machine index to a load spec, got {loads!r}")
-        for m, load_spec in sorted(loads.items(), key=lambda kv: int(kv[0])):
-            idx = machine_index(m)
-            cluster.machines[idx].load = build_load_model(load_spec, rng)
+        for m in sorted(loads, key=machine_index):
+            try:
+                load = load_from_spec(loads[m], rng)
+            except ClusterError as exc:
+                raise CampaignError(
+                    f"bad load spec for machine {m}: {exc}") from exc
+            cluster.machines[machine_index(m)].load = load
     return cluster

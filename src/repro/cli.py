@@ -14,14 +14,14 @@ Commands
     machine-readable reports, ``--apps`` also checks the built-in
     application models.
 ``cluster``
-    Print a preset cluster configuration as JSON (edit it, feed it back to
-    experiments).
+    Print a preset cluster configuration as a JSON snapshot (edit it,
+    feed it back to experiments, campaigns or the server).
 ``topology show`` / ``topology check``
     Render a cluster's hierarchy tree (``show``) or run the topology
     validation diagnostics (``check``; exits nonzero on errors).  Both
-    accept ``--preset`` (a topology preset name) or ``--file`` (a cluster
-    JSON produced by ``repro cluster``); ``check`` with neither validates
-    every topology preset.
+    accept ``--preset`` (a topology preset name) or ``--file`` (a world
+    spec in JSON, such as ``repro cluster`` output); ``check`` with
+    neither validates every topology preset.
 ``trace``
     Run an instrumented scenario (fault-tolerant Jacobi by default),
     write its Chrome-trace JSON — load it in Perfetto or
@@ -45,7 +45,8 @@ Commands
 
 Option errors (unknown campaign axis, bad registry string, malformed
 config, malformed ``--bind``/``--fail`` value) exit with code 2 and a
-one-line ``error:`` message — never a traceback.
+one-line ``error:`` message — never a traceback; a cluster file that
+does not parse exits 1 the same way.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ import json
 import sys
 
 from .apps.matmul import run_matmul_hmpi
-from .cluster import TOPOLOGY_PRESETS, multiprotocol_network, paper_network
-from .cluster.serialize import cluster_from_json, cluster_to_json
+from .cluster import CLUSTER_PRESETS, TOPOLOGY_PRESETS, paper_network
+from .cluster.serialize import cluster_from_spec, cluster_to_dict
 from .core import GreedyMapper
 from .util.errors import ClusterError, OptionError, PMDLError
 from .util.tables import Table
@@ -198,12 +199,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from .perfmodel.netcheck import check_coverage, unroll
     from .perfmodel.printer import format_unit
 
+    bindings = _parse_bindings(args.bind) if args.bind else None
     source = open(args.file).read()
     try:
         models = compile_source(source, externals=stub_externals(source))
     except PMDLError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if bindings is not None:
+        wanted = _bindings_per_model(models, bindings, args.file)
     print(f"compiled {len(models)} algorithm(s): {', '.join(models)}")
     for name, model in models.items():
         for diag in model.diagnostics:
@@ -211,9 +215,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     print()
     print(format_unit(parse(source)))
 
-    if not args.bind:
+    if bindings is None:
         return 0
-    wanted = _bindings_per_model(models, _parse_bindings(args.bind), args.file)
     exit_code = 0
     for name, model in models.items():
         try:
@@ -363,12 +366,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    presets = {
-        "paper": paper_network,
-        "multiprotocol": multiprotocol_network,
-        **TOPOLOGY_PRESETS,
-    }
-    print(cluster_to_json(presets[args.preset]()))
+    print(json.dumps(cluster_to_dict(cluster_from_spec(args.preset)), indent=2))
     return 0
 
 
@@ -377,18 +375,18 @@ def _topology_targets(args: argparse.Namespace) -> list[tuple[str, "object"]]:
 
     targets: list[tuple[str, object]] = []
     if args.preset:
-        factory = TOPOLOGY_PRESETS.get(args.preset)
-        if factory is None:
-            raise SystemExit(
+        if args.preset not in TOPOLOGY_PRESETS:
+            raise OptionError(
                 f"unknown topology preset {args.preset!r}; available: "
                 f"{', '.join(sorted(TOPOLOGY_PRESETS))}"
             )
-        targets.append((args.preset, factory()))
+        targets.append((args.preset, cluster_from_spec(args.preset)))
     if args.file:
         try:
-            cluster = cluster_from_json(open(args.file).read())
-        except ClusterError as exc:
-            raise SystemExit(f"{args.file}: invalid topology: {exc}")
+            with open(args.file) as fh:
+                cluster = cluster_from_spec(json.load(fh))
+        except (OSError, ValueError, ClusterError) as exc:
+            raise ClusterError(f"{args.file}: {exc}") from exc
         targets.append((args.file, cluster))
     return targets
 
@@ -396,7 +394,7 @@ def _topology_targets(args: argparse.Namespace) -> list[tuple[str, "object"]]:
 def _cmd_topology_show(args: argparse.Namespace) -> int:
     targets = _topology_targets(args)
     if not targets:
-        raise SystemExit("topology show needs --preset or --file")
+        raise OptionError("topology show needs --preset or --file")
     for name, cluster in targets:
         if cluster.topology is None:
             print(f"{name}: no topology attached (flat pairwise mesh)")
@@ -410,8 +408,8 @@ def _cmd_topology_check(args: argparse.Namespace) -> int:
     targets = _topology_targets(args)
     if not targets:
         # Default: validate every topology preset (the CI smoke job).
-        targets = [(name, factory()) for name, factory
-                   in sorted(TOPOLOGY_PRESETS.items())]
+        targets = [(name, cluster_from_spec(name))
+                   for name in sorted(TOPOLOGY_PRESETS)]
     worst = 0
     for name, cluster in targets:
         if cluster.topology is None:
@@ -603,9 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.set_defaults(fn=_cmd_net)
 
     pk = sub.add_parser("cluster", help="dump a preset cluster as JSON")
-    pk.add_argument("--preset",
-                    choices=["paper", "multiprotocol",
-                             *sorted(TOPOLOGY_PRESETS)],
+    pk.add_argument("--preset", choices=list(CLUSTER_PRESETS),
                     default="paper")
     pk.set_defaults(fn=_cmd_cluster)
 
@@ -693,6 +689,10 @@ def main(argv: list[str] | None = None) -> int:
         # message + code 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ClusterError as exc:
+        # A cluster file that does not parse: bad input, one line, code 1.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,13 +32,9 @@ from .load import (
 )
 from .machine import Machine
 from .network import Cluster
-from .serialize import (
-    cluster_from_dict,
-    cluster_from_json,
-    cluster_to_dict,
-    cluster_to_json,
-)
+from .serialize import cluster_from_spec, cluster_to_dict
 from .presets import (
+    CLUSTER_PRESETS,
     PAPER_SPEEDS,
     TOPOLOGY_PRESETS,
     clusters_of_clusters,
@@ -53,8 +49,6 @@ from .topology import (
     Topology,
     TopologyNode,
     TopologyReport,
-    topology_from_dict,
-    topology_to_dict,
 )
 
 __all__ = [
@@ -81,9 +75,7 @@ __all__ = [
     "inject_faults",
     "PAPER_SPEEDS",
     "cluster_to_dict",
-    "cluster_from_dict",
-    "cluster_to_json",
-    "cluster_from_json",
+    "cluster_from_spec",
     "paper_network",
     "homogeneous_network",
     "uniform_network",
@@ -92,9 +84,8 @@ __all__ = [
     "two_site_network",
     "clusters_of_clusters",
     "TOPOLOGY_PRESETS",
+    "CLUSTER_PRESETS",
     "Topology",
     "TopologyNode",
     "TopologyReport",
-    "topology_to_dict",
-    "topology_from_dict",
 ]

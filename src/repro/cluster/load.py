@@ -101,13 +101,14 @@ class StepLoad(LoadModel):
                 raise ValueError(f"share must be in (0, 1], got {s}")
         if not 0.0 < initial <= 1.0:
             raise ValueError(f"initial share must be in (0, 1], got {initial}")
+        self.steps = [(t, s) for t, s in steps]
         self._times = list(times)
         self._shares = [s for _, s in steps]
-        self._initial = initial
+        self.initial = initial
 
     def share_at(self, t: float) -> float:
         i = bisect_right(self._times, t)
-        return self._initial if i == 0 else self._shares[i - 1]
+        return self.initial if i == 0 else self._shares[i - 1]
 
     def next_change_after(self, t: float) -> float:
         i = bisect_right(self._times, t)
@@ -171,6 +172,8 @@ class RandomWalkLoad(LoadModel):
         if not 0.0 < floor <= 1.0:
             raise ValueError(f"floor must be in (0, 1], got {floor}")
         self.interval = interval
+        self.seed = seed
+        self.start = start
         self.step = step
         self.floor = floor
         self._rng = make_rng(seed)
@@ -241,6 +244,7 @@ class DiurnalLoad(LoadModel):
                 raise ValueError(f"share must be in (0, 1], got {s}")
         self.day = float(day)
         self.phase = float(phase)
+        self.profile = profile
         self._fracs = fracs
         self._shares = [s for _, s in profile]
 

@@ -41,6 +41,7 @@ __all__ = [
     "two_site_network",
     "clusters_of_clusters",
     "TOPOLOGY_PRESETS",
+    "CLUSTER_PRESETS",
 ]
 
 #: Measured speeds of the paper's nine workstations (benchmark units / sec).
@@ -217,8 +218,15 @@ def clusters_of_clusters(
     return Cluster(machines, default_protocols=(wan_protocol,), topology=topo)
 
 
-#: Topology-annotated presets by name (CLI `repro topology show/check`).
+#: Topology-annotated presets by name (world-spec ``topology`` kind, CLI).
 TOPOLOGY_PRESETS = {
     "two_site": two_site_network,
     "clusters_of_clusters": clusters_of_clusters,
+}
+
+#: Every preset by name, as world specs and `repro cluster` name them.
+CLUSTER_PRESETS = {
+    "paper": paper_network,
+    "multiprotocol": multiprotocol_network,
+    **TOPOLOGY_PRESETS,
 }

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..util.errors import ClusterError
 from .link import Link, Protocol
@@ -42,8 +42,6 @@ __all__ = [
     "TopologyNode",
     "Topology",
     "TopologyReport",
-    "topology_to_dict",
-    "topology_from_dict",
 ]
 
 
@@ -377,42 +375,3 @@ class Topology:
 
     def _count_levels(self) -> int:
         return sum(1 for _, n in self.root.walk() if not n.is_leaf)
-
-
-# ----------------------------------------------------------------------
-# serialization (used by cluster/serialize.py)
-# ----------------------------------------------------------------------
-
-def _node_to_dict(node: TopologyNode) -> dict[str, Any]:
-    if node.is_leaf:
-        return {"machine": node.machine}
-    return {
-        "name": node.name,
-        "kind": node.kind,
-        "protocols": [
-            {"name": p.name, "latency": p.latency, "bandwidth": p.bandwidth}
-            for p in node.protocols
-        ],
-        "children": [_node_to_dict(c) for c in node.children],
-    }
-
-
-def _node_from_dict(blob: dict[str, Any]) -> TopologyNode:
-    if "machine" in blob:
-        return TopologyNode.leaf(blob["machine"])
-    return TopologyNode(
-        name=blob.get("name", "level"),
-        kind=blob.get("kind", "level"),
-        protocols=tuple(Protocol(**p) for p in blob.get("protocols", [])),
-        children=tuple(_node_from_dict(c) for c in blob.get("children", [])),
-    )
-
-
-def topology_to_dict(topology: Topology) -> dict[str, Any]:
-    """JSON-compatible dictionary of a topology tree."""
-    return _node_to_dict(topology.root)
-
-
-def topology_from_dict(blob: dict[str, Any]) -> Topology:
-    """Rebuild a topology from :func:`topology_to_dict` output."""
-    return Topology(_node_from_dict(blob))

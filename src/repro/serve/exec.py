@@ -24,10 +24,11 @@ import json
 from collections import OrderedDict
 from typing import Any
 
+from ..cluster.serialize import cluster_from_spec
 from ..core.netmodel import NetworkModel
 from ..core.runtime import HMPIRuntimeState
 from ..perfmodel import stub_externals
-from ..util.errors import OptionError, PMDLError, ReproError
+from ..util.errors import ClusterError, OptionError, PMDLError, ReproError
 from .protocol import PROTOCOL_VERSION, BadRequest, JobRequest
 
 __all__ = ["Executor", "WorldContext", "stub_externals"]
@@ -82,26 +83,17 @@ class Executor:
         assert digest is not None
         ctx = self.worlds.get(digest)
         if ctx is None:
-            ctx = WorldContext(digest, self._build_cluster(req.cluster))
+            try:
+                cluster = cluster_from_spec(req.cluster)
+            except ClusterError as exc:
+                raise BadRequest(f"bad cluster spec: {exc}") from exc
+            ctx = WorldContext(digest, cluster)
             self.worlds[digest] = ctx
             while len(self.worlds) > self.WORLD_CAPACITY:
                 self.worlds.popitem(last=False)
         else:
             self.worlds.move_to_end(digest)
         return ctx
-
-    @staticmethod
-    def _build_cluster(spec: Any) -> Any:
-        from ..campaign.scenarios import build_cluster
-        from ..cluster.serialize import cluster_from_dict
-        from ..util.errors import CampaignError
-
-        try:
-            if isinstance(spec, dict) and "machines" in spec:
-                return cluster_from_dict(spec)
-            return build_cluster(spec)
-        except (CampaignError, ReproError, ValueError, TypeError, KeyError) as exc:
-            raise BadRequest(f"bad cluster spec: {exc}") from exc
 
     def model_for(self, req: JobRequest) -> Any:
         """Compile (memoised) and bind the request's model."""

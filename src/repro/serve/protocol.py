@@ -5,9 +5,10 @@ the operation:
 
 ``timeof`` / ``group_create``
     ``model`` (PMDL source text), ``params`` (bind values, by name or
-    positional list), ``cluster`` (preset name, campaign cluster spec
-    dict, or a full :func:`repro.cluster.serialize.cluster_to_dict`
-    document).  Optional: ``algorithm`` (when the source defines several),
+    positional list), ``cluster`` (a world spec, read by
+    :func:`repro.cluster.serialize.cluster_from_spec`: a preset name, a
+    ``kind`` dict, or a snapshot as
+    :func:`~repro.cluster.serialize.cluster_to_dict` writes it).  Optional: ``algorithm`` (when the source defines several),
     ``mapper`` (registry string), ``iterations`` (timeof only),
     ``speeds`` (per-machine estimates installed before selection).
 ``check``

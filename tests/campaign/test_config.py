@@ -1,6 +1,7 @@
 """Campaign config validation, expansion, and seed derivation."""
 
 import json
+import re
 
 import pytest
 
@@ -160,3 +161,41 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(CampaignError, match="not valid JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("fixed, axes, key", [
+        # a misspelled cluster kind, once fixed and once on an axis
+        ({}, {"cluster": ["paper", {"kind": "homogenous", "n": 4}]},
+         "kind: unknown kind 'homogenous'"),
+        ({"loads": {"1": {"kind": "sqaure", "period": 1.0}}},
+         {"policy": ["never"]}, "machine 1: kind: unknown kind 'sqaure'"),
+        # unknown keys used to be dropped, building the default cluster
+        ({"cluster": {"kind": "homogeneous", "N": 8}}, {"policy": ["never"]},
+         "N: unknown key; expected one of n, speed"),
+        ({"cluster": {"kind": "random", "n": 5, "sede": 3}},
+         {"policy": ["never"]}, "sede: unknown key; expected one of n, seed"),
+        ({"deaths": {"7": 0.1}}, {"policy": ["never"]},
+         "machine index 7 out of range"),
+        ({"transient": {"drop_prob": 0.1, "drop": 0.2}},
+         {"policy": ["never"]}, "bad transient spec: drop: unknown key"),
+        ({"churn": [{"t": 0.0, "op": "leave", "machine": 9}]},
+         {"policy": ["never"]}, "machine 9 out of range"),
+    ])
+    def test_malformed_world_fails_at_load(self, tmp_path, fixed, axes, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"name": "t", "app": "iterative",
+                                    "fixed": fixed, "axes": axes}))
+        with pytest.raises(CampaignError, match=re.escape(key)):
+            load_config(path)
+
+    def test_malformed_world_exits_two_before_any_cell(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "name": "t", "app": "iterative",
+            "axes": {"cluster": ["paper", {"kind": "homogenous"}]}}))
+        out = tmp_path / "out"
+        assert main(["campaign", "run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.campaign import (
     build_cluster,
-    build_load_model,
     apply_scenario,
     normalize_churn,
 )
@@ -21,6 +20,12 @@ from repro.util.errors import CampaignError
 
 def rng():
     return np.random.default_rng(0)
+
+
+def build_load_model(spec, rng):
+    """Machine 1's load model after ``apply_scenario`` installs ``spec``."""
+    c = build_cluster({"kind": "uniform", "speeds": [100.0] * 2})
+    return apply_scenario(c, rng, loads={"1": spec}).machines[1].load
 
 
 class TestBuildCluster:

@@ -182,3 +182,26 @@ class TestHTTPBitwise:
                                "machines": machines, "time": time}
         finally:
             server.stop()
+
+
+class TestSnapshotWorlds:
+    """A snapshot is the same world as the spec it was dumped from."""
+
+    def test_snapshot_of_paper_answers_like_paper(self):
+        from repro.cluster import cluster_to_dict
+
+        snapshot = cluster_to_dict(paper_network())
+        by_name = Executor().execute(em3d_request("timeof"))
+        by_snapshot = Executor().execute(
+            em3d_request("timeof", cluster=snapshot))
+        assert by_snapshot["predicted_time"] == by_name["predicted_time"]
+        assert by_snapshot["mapping"] == by_name["mapping"]
+
+    def test_diurnal_load_in_a_snapshot_is_served(self):
+        from repro.cluster import DiurnalLoad, cluster_to_dict
+
+        cluster = paper_network()
+        cluster.machines[6].load = DiurnalLoad(day=10.0)
+        served = Executor().execute(
+            em3d_request("timeof", cluster=cluster_to_dict(cluster)))
+        assert served["predicted_time"] > 0

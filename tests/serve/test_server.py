@@ -405,6 +405,16 @@ class TestProtocolSurface:
         assert err.value.status == 400
         assert "unknown mapper" in str(err.value)
 
+    def test_malformed_snapshot_is_400_with_the_key_path(self, server):
+        client = ServeClient(server.url)
+        snapshot = {"machines": [{"name": "a", "speed": 1.0,
+                                  "load": {"kind": "square"}}]}
+        with pytest.raises(ServeHTTPError) as err:
+            client.submit(ring_job([4], cluster=snapshot))
+        assert err.value.status == 400
+        assert err.value.payload["error"] == (
+            "bad cluster spec: machines[0].load.period: required")
+
     def test_hostile_tenant_is_400_and_metrics_still_parse(self, server):
         # Minimised from ROADMAP 9(4): this tenant used to become a label
         # value the strict scrape parser rejected.

@@ -83,17 +83,6 @@ class TestTopologyCommands:
             f"{path}: no topology attached (flat pairwise mesh) — ok\n")
 
     @pytest.mark.parametrize("command", ["show", "check"])
-    def test_unknown_preset_is_usage_error(self, command):
-        with pytest.raises(SystemExit, match="unknown topology preset "
-                           "'nope'; available: clusters_of_clusters, "
-                           "two_site"):
-            main(["topology", command, "--preset", "nope"])
-
-    def test_show_without_target_is_usage_error(self):
-        with pytest.raises(SystemExit, match="needs --preset or --file"):
-            main(["topology", "show"])
-
-    @pytest.mark.parametrize("command", ["show", "check"])
     def test_invalid_topology_file_is_reported(self, command, tmp_path,
                                                capsys):
         # two_site with site1's protocols emptied fails Topology.bind
@@ -107,10 +96,56 @@ class TestTopologyCommands:
             levels += level.get("children", [])
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(blob))
-        with pytest.raises(SystemExit) as exc:
-            main(["topology", command, "--file", str(path)])
-        assert re.fullmatch(rf"{re.escape(str(path))}: invalid topology: "
-                            r".*site1.* no protocols.*", str(exc.value.code))
+        assert main(["topology", command, "--file", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: topology: "
+                            r".*site1.* no protocols.*\n", err)
+
+
+class TestBadInput:
+    """A bad option or input file exits with its code (2 for usage, 1
+    for a file that does not parse), one ``error:`` line and no stdout."""
+
+    NOT_SNAPSHOT = {"single_port": False, "links": []}
+    SQUARE_WITHOUT_PERIOD = {"machines": [
+        {"name": "a", "speed": 1.0, "load": {"kind": "square", "high": 0.9}}]}
+    UNKNOWN_PRESET = ("unknown topology preset 'nope'; available: "
+                      "clusters_of_clusters, two_site")
+
+    @pytest.mark.parametrize("argv, content, code, message", [
+        (["topology", "show", "--preset", "nope"], None, 2, UNKNOWN_PRESET),
+        (["topology", "check", "--preset", "nope"], None, 2, UNKNOWN_PRESET),
+        (["topology", "show"], None, 2,
+         "topology show needs --preset or --file"),
+        (["topology", "show", "--file", "{file}"], NOT_SNAPSHOT, 1,
+         "{file}: machines: required (or a 'kind' for a constructor dict)"),
+        (["topology", "check", "--file", "{file}"], SQUARE_WITHOUT_PERIOD, 1,
+         "{file}: machines[0].load.period: required"),
+        (["topology", "show", "--file", "{file}"], "{", 1,
+         "{file}: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (["topology", "check", "--file", "{file}"], None, 1,
+         "{file}: [Errno 2] No such file or directory: '{file}'"),
+        (["compile", RING, "--bind", "p=abc"], None, 2,
+         "--bind p: 'abc' is not valid JSON"),
+        (["compile", RING, "--bind", "q=1"], None, 2,
+         f"--bind q: no algorithm in {RING} has a parameter of that name"),
+    ], ids=["show-unknown-preset", "check-unknown-preset", "show-no-target",
+            "file-without-machines", "file-square-without-period",
+            "file-not-json", "file-missing", "compile-bind-not-json",
+            "compile-bind-unknown-name"])
+    def test_exits_with_one_error_line_and_no_stdout(
+            self, argv, content, code, message, tmp_path, capsys):
+        path = str(tmp_path / "world.json")
+        if content is not None:
+            Path(path).write_text(
+                content if isinstance(content, str) else json.dumps(content))
+        argv = [a.replace("{file}", path) for a in argv]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message.replace('{file}', path)}\n"
 
 
 class TestCheckCommand:
@@ -365,7 +400,7 @@ class TestMalformedValues:
     ])
     def test_exits_two_with_one_error_line(self, argv, message, capsys):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestCampaignCommands:
