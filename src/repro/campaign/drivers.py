@@ -1,11 +1,13 @@
 """Application drivers a campaign can sweep.
 
-A driver is a named function ``fn(params, rng) -> metrics`` running one
-campaign cell: it builds the scenario (cluster, faults, loads, churn)
-from the cell's parameters, executes the application through the
-library's public entry points, and returns a flat dict of deterministic
-metrics (virtual times, counts, selections — never wall-clock), so
-result rows are bitwise reproducible from the config and seed.
+A driver is a named function ``fn(params, rng, obs) -> metrics``
+running one campaign cell: it builds the scenario (cluster, faults,
+loads, churn) from the cell's parameters, executes the application
+through the library's public entry points, and returns a flat dict of
+deterministic metrics (virtual times, counts, selections — never
+wall-clock), so result rows are bitwise reproducible from the config and
+seed.  ``obs`` is an optional :class:`~repro.obs.Observability` attached
+to the cell's HMPI run (``repro trace``); it never changes the metrics.
 
 Six drivers ship:
 
@@ -97,20 +99,20 @@ class Driver:
     """A named campaign driver with its declared parameter surface."""
 
     name: str
-    fn: Callable[[dict, np.random.Generator], dict]
+    fn: Callable[..., dict]
     params: tuple[str, ...]
     defaults: dict
 
-    def run(self, params: dict, rng: np.random.Generator) -> dict:
+    def run(self, params: dict, rng: np.random.Generator, obs=None) -> dict:
         merged = {**self.defaults, **params}
-        return self.fn(merged, rng)
+        return self.fn(merged, rng, obs)
 
 
 # ----------------------------------------------------------------------
 # timeof_em3d — selection-only mapper ablation
 # ----------------------------------------------------------------------
 
-def _timeof_em3d(params: dict, rng: np.random.Generator) -> dict:
+def _timeof_em3d(params: dict, rng: np.random.Generator, obs) -> dict:
     problem = generate_problem(
         p=int(params["p"]),
         total_nodes=int(params["total_nodes"]),
@@ -134,7 +136,7 @@ def _timeof_em3d(params: dict, rng: np.random.Generator) -> dict:
 # jacobi_ft — fault-injection sweep (mirrors tests/ft)
 # ----------------------------------------------------------------------
 
-def _jacobi_ft(params: dict, rng: np.random.Generator) -> dict:
+def _jacobi_ft(params: dict, rng: np.random.Generator, obs) -> dict:
     n = int(params["n"])
     niter = int(params["niter"])
     grid_seed = int(params["grid_seed"])
@@ -157,6 +159,7 @@ def _jacobi_ft(params: dict, rng: np.random.Generator) -> dict:
         max_repairs=int(params["max_repairs"]),
         timeout=params["timeout"],
         engine=params["engine"],
+        obs=obs,
     )
     recovered = res.grid is not None
     bitwise_ok = (
@@ -179,7 +182,7 @@ def _jacobi_ft(params: dict, rng: np.random.Generator) -> dict:
 # iterative — the dynamic-world driver (churn + load + re-selection)
 # ----------------------------------------------------------------------
 
-def _iterative(params: dict, rng: np.random.Generator) -> dict:
+def _iterative(params: dict, rng: np.random.Generator, obs) -> dict:
     policy = check_choice("re-selection policy", params["policy"],
                           RESELECTION_POLICIES, CampaignError)
     n = int(params["n"])
@@ -315,7 +318,7 @@ def _iterative(params: dict, rng: np.random.Generator) -> dict:
     result = run_hmpi(
         app, cluster, timeout=params["timeout"],
         ft=resolve_ft(params["ft"]) if params["ft"] else None,
-        engine=params["engine"],
+        engine=params["engine"], obs=obs,
     )
     host = result.results[0]
     if not isinstance(host, dict) or "iterations" not in host:
@@ -356,7 +359,7 @@ def _world_factory(params: dict, rng: np.random.Generator):
     return world
 
 
-def _em3d_recon(params: dict, rng: np.random.Generator) -> dict:
+def _em3d_recon(params: dict, rng: np.random.Generator, obs) -> dict:
     problem = generate_problem(
         p=int(params["p"]),
         total_nodes=int(params["total_nodes"]),
@@ -372,7 +375,7 @@ def _em3d_recon(params: dict, rng: np.random.Generator) -> dict:
         world(), problem, niter=niter, k=k,
         mapper=params["mapper"], recon=bool(params["recon"]),
         procs_per_machine=int(params["procs_per_machine"]),
-        timeout=params["timeout"], engine=params["engine"],
+        timeout=params["timeout"], engine=params["engine"], obs=obs,
     )
     return {
         "mpi_time": float(mpi.algorithm_time),
@@ -388,7 +391,7 @@ def _em3d_recon(params: dict, rng: np.random.Generator) -> dict:
 # matmul_run — matrix multiplication, MPI vs HMPI
 # ----------------------------------------------------------------------
 
-def _matmul_run(params: dict, rng: np.random.Generator) -> dict:
+def _matmul_run(params: dict, rng: np.random.Generator, obs) -> dict:
     shape = {"n": int(params["n"]), "r": int(params["r"]),
              "m": int(params["m"]), "seed": int(params["seed"])}
     l = None if params["l"] is None else int(params["l"])
@@ -397,7 +400,7 @@ def _matmul_run(params: dict, rng: np.random.Generator) -> dict:
                          engine=params["engine"])
     hmpi = run_matmul_hmpi(world(), **shape, l=l, mapper=params["mapper"],
                            timeout=params["timeout"],
-                           engine=params["engine"])
+                           engine=params["engine"], obs=obs)
     return {
         "mpi_time": float(mpi.algorithm_time),
         "hmpi_time": float(hmpi.algorithm_time),
@@ -431,7 +434,7 @@ def _amdahl_family(total_work: float, partial_bytes: float,
     return family
 
 
-def _groupsize_amdahl(params: dict, rng: np.random.Generator) -> dict:
+def _groupsize_amdahl(params: dict, rng: np.random.Generator, obs) -> dict:
     total_work = float(params["total_work"])
     partial_bytes = float(params["partial_bytes"])
     combine_cost = float(params["combine_cost"])
@@ -480,6 +483,7 @@ def _groupsize_amdahl(params: dict, rng: np.random.Generator) -> dict:
 
     res = run_hmpi(
         app, cluster, timeout=params["timeout"], engine=params["engine"],
+        obs=obs,
     )
     best_p, best_time, all_machines, _ = res.results[0]
     measured = max(m for *_, m in res.results if m is not None)

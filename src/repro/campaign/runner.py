@@ -33,11 +33,15 @@ from .results import ResultsWriter
 __all__ = ["run_campaign", "run_one"]
 
 
-def run_one(config: CampaignConfig, spec: RunSpec) -> dict:
-    """Execute a single expanded run; returns the driver's metrics dict."""
+def run_one(config: CampaignConfig, spec: RunSpec, obs=None) -> dict:
+    """Execute a single expanded run; returns the driver's metrics dict.
+
+    ``obs`` (an :class:`~repro.obs.Observability`) watches the cell's HMPI
+    run; drivers with an MPI baseline leave the baseline unobserved.
+    """
     driver = resolve_driver(config.driver)
     rng = np.random.default_rng(spec.seed)
-    return driver.run(spec.params, rng)
+    return driver.run(spec.params, rng, obs)
 
 
 def run_campaign(

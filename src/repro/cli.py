@@ -3,16 +3,17 @@
 Commands
 --------
 ``compile FILE``
-    Compile a PMDL model file (static analysis included), print the
-    canonical source, and — when ``--bind`` supplies parameter values
-    (the rest take their probe values) — check that the scheme performs
-    exactly the declared volumes (PM082); analyzer errors and coverage
-    findings exit nonzero.
+    Compile a PMDL model file (static analysis included) and print the
+    canonical source; analyzer errors exit nonzero.
 ``check FILE [FILE ...]``
-    Static analysis only: report coded ``PM0xx`` diagnostics without
-    binding parameters.  ``--strict`` fails on warnings, ``--json`` emits
-    machine-readable reports, ``--apps`` also checks the built-in
-    application models.
+    Report coded ``PM0xx`` diagnostics.  ``--strict`` fails on warnings,
+    ``--json`` emits machine-readable reports, ``--apps [APP ...]`` also
+    checks the built-in application models (all, or the named ones).
+    ``--net`` unrolls each scheme into its communication net once — at
+    the probe binding, or at ``--bind NAME=VALUE`` values — runs the
+    PM08x checks on it and prints its summary; ``--dot FILE`` draws those
+    nets and ``--trace FILE`` writes the one algorithm's predicted firing
+    schedule (paper cluster, round-robin mapping).  Each implies ``--net``.
 ``cluster``
     Print a preset cluster configuration as a JSON snapshot (edit it,
     feed it back to experiments, campaigns or the server).
@@ -22,13 +23,15 @@ Commands
     accept ``--preset`` (a topology preset name) or ``--file`` (a world
     spec in JSON, such as ``repro cluster`` output); ``check`` with
     neither validates every topology preset.
-``trace``
-    Run an instrumented scenario (fault-tolerant Jacobi by default),
-    write its Chrome-trace JSON — load it in Perfetto or
-    ``chrome://tracing`` for per-rank lanes plus nested runtime spans —
-    and print the metrics snapshot (selection-cache statistics included)
-    and the Timeof prediction-accuracy table.  ``--metrics PATH`` also
-    writes the snapshot as JSON.
+``trace CONFIG``
+    Run one cell of a campaign (``--cell N``, default 0) with an
+    :class:`~repro.obs.Observability` on its HMPI run, write the
+    Chrome-trace JSON — load it in Perfetto or ``chrome://tracing`` for
+    per-rank lanes plus nested runtime spans — and print the metrics
+    snapshot (selection-cache statistics included) and the Timeof
+    prediction-accuracy table.  ``--metrics PATH`` also writes the
+    snapshot as JSON.  ``examples/campaigns/trace_*.json`` hold the
+    standard scenarios.
 ``campaign run/check/list``
     Declarative scenario campaigns (see ``docs/CAMPAIGNS.md``): ``run``
     executes every cell of a campaign JSON and writes ``results.jsonl``
@@ -43,100 +46,61 @@ Commands
     The multi-tenant prediction/selection job server (``docs/SERVING.md``);
     it also serves ``/metrics``, ``/snapshot``, ``/events`` and ``/healthz``.
 
-Option errors (unknown campaign axis, bad registry string, malformed
-config, malformed ``--bind``/``--fail`` value) exit with code 2 and a
-one-line ``error:`` message — never a traceback; a cluster file that
-does not parse exits 1 the same way.
+Option errors (unknown campaign axis or cell, bad registry string,
+malformed config or ``--bind`` value) exit with code 2 and a one-line
+``error:`` message — never a traceback.  Input that cannot be read or
+does not parse, and an output path that cannot be written, exit 1 the
+same way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .apps.matmul import run_matmul_hmpi
-from .cluster import CLUSTER_PRESETS, TOPOLOGY_PRESETS, paper_network
+from .cluster import CLUSTER_PRESETS, TOPOLOGY_PRESETS
 from .cluster.serialize import cluster_from_spec, cluster_to_dict
-from .core import GreedyMapper
 from .util.errors import ClusterError, OptionError, PMDLError
 from .util.tables import Table
 
 __all__ = ["main"]
 
-
-def _parse_fail(pairs: list[str]) -> dict[str, float]:
-    schedule = {}
-    for pair in pairs:
-        name, sep, at = pair.partition("=")
-        if not sep:
-            raise OptionError(f"--fail expects MACHINE=VTIME, got {pair!r}")
-        try:
-            schedule[name] = float(at)
-        except ValueError:
-            raise OptionError(f"--fail {name}: {at!r} is not a number")
-    return schedule
+#: The built-in application models ``check --apps`` can select.
+APPS = ("em3d", "matmul", "jacobi")
 
 
-def _run_observed(args: argparse.Namespace):
-    """Run the chosen instrumented scenario; return its Observability."""
-    from .obs import Observability
-
-    obs = Observability()
-    if args.app == "jacobi":
-        from .apps.jacobi import run_jacobi_ft
-        from .cluster import FaultSchedule, inject_faults, uniform_network
-
-        cluster = uniform_network([100.0] * args.machines)
-        if args.fail:
-            inject_faults(cluster, FaultSchedule(_parse_fail(args.fail)))
-        result = run_jacobi_ft(cluster, n=args.n, p=args.p, niter=args.niter,
-                               k=50, seed=args.seed, obs=obs,
-                               engine=args.engine)
-        if result.error is not None:
-            raise SystemExit(f"jacobi run failed: {result.error}")
-        outcome = (f"jacobi n={args.n} p={args.p} niter={args.niter}: "
-                   f"{result.repairs} repair(s), "
-                   f"{result.checkpoint_saves} checkpoint save(s), "
-                   f"makespan {result.makespan:.3f}s")
-    else:
-        result = run_matmul_hmpi(paper_network(), n=args.n, r=9, m=3,
-                                 seed=args.seed, mapper=GreedyMapper(),
-                                 obs=obs, engine=args.engine)
-        outcome = (f"matmul n={args.n} l={result.block_size_l}: "
-                   f"algorithm {result.algorithm_time:.3f}s, "
-                   f"makespan {result.makespan:.3f}s")
-    return obs, outcome
-
-
-def _engine_flag(sub) -> None:
-    from .mpi.scheduler import ENGINE_BACKENDS
-
-    sub.add_argument("--engine", choices=list(ENGINE_BACKENDS), default=None,
-                     help="scheduling backend (default: events)")
-
-
-def _scenario_flags(sub) -> None:
-    sub.add_argument("--app", choices=["jacobi", "matmul"], default="jacobi")
-    _engine_flag(sub)
-    sub.add_argument("--n", type=int, default=30,
-                     help="problem size (grid rows / blocks)")
-    sub.add_argument("--p", type=int, default=4,
-                     help="jacobi group size")
-    sub.add_argument("--niter", type=int, default=6)
-    sub.add_argument("--machines", type=int, default=5,
-                     help="jacobi cluster size")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--fail", nargs="*", metavar="MACHINE=VTIME",
-                     default=["m02=0.05"],
-                     help="jacobi fault schedule (pass bare --fail for a "
-                          "fault-free run)")
+def _writable(*paths: str | None) -> None:
+    """Fail on an unwritable output path before anything is printed; a
+    file the probe creates is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    obs, outcome = _run_observed(args)
-    print(outcome)
-    obs.write_chrome_trace(args.out, metadata={"app": args.app})
+    from .campaign import load_config, run_one
+    from .obs import Observability
+
+    config = load_config(args.config)
+    specs = config.expand()
+    if not 0 <= args.cell < len(specs):
+        raise OptionError(f"--cell {args.cell}: campaign {config.name!r} has "
+                          f"{len(specs)} cell(s)")
+    spec = specs[args.cell]
+    _writable(args.out, args.metrics)
+    obs = Observability()
+    metrics = run_one(config, spec, obs=obs)
+    cell = ", ".join(f"{k}={v}" for k, v in sorted(spec.cell.items()))
+    print(f"{config.name} cell {spec.index} ({cell}), driver "
+          f"{config.driver.name}:")
+    print("  " + ", ".join(f"{k}={v:.6g}" if isinstance(v, float)
+                           else f"{k}={v}" for k, v in metrics.items()))
+    obs.write_chrome_trace(args.out, metadata={"campaign": config.name,
+                                               "cell": spec.index})
     snap = obs.snapshot()
     print(f"wrote {args.out}: {len(obs.chrome_trace()['traceEvents'])} "
           f"events ({snap['spans']} runtime spans) — open in Perfetto "
@@ -162,7 +126,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(table.render())
     print()
     print(obs.accuracy.render())
-    return 0
+    return 1 if metrics.get("error") else 0
 
 
 def _parse_bindings(pairs: list[str]) -> dict:
@@ -178,64 +142,23 @@ def _parse_bindings(pairs: list[str]) -> dict:
     return bindings
 
 
-def _bindings_per_model(models: dict, bindings: dict, target: str) -> dict:
-    """Split ``--bind`` values among ``models`` by parameter name.
-
-    A name that no algorithm in ``target`` declares is a usage error,
-    not a value to drop silently.
-    """
-    unknown = set(bindings).difference(
-        *(model.param_names for model in models.values()))
-    if unknown:
-        raise OptionError(
-            f"--bind {', '.join(sorted(unknown))}: no algorithm in "
-            f"{target} has a parameter of that name")
-    return {name: {p: v for p, v in bindings.items() if p in model.param_names}
-            for name, model in models.items()}
-
-
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .perfmodel import compile_source, parse, stub_externals
-    from .perfmodel.netcheck import check_coverage, unroll
     from .perfmodel.printer import format_unit
 
-    bindings = _parse_bindings(args.bind) if args.bind else None
     source = open(args.file).read()
-    try:
-        models = compile_source(source, externals=stub_externals(source))
-    except PMDLError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if bindings is not None:
-        wanted = _bindings_per_model(models, bindings, args.file)
+    models = compile_source(source, externals=stub_externals(source))
     print(f"compiled {len(models)} algorithm(s): {', '.join(models)}")
     for name, model in models.items():
         for diag in model.diagnostics:
             print(f"{args.file}: {name}: {diag.render()}")
     print()
     print(format_unit(parse(source)))
-
-    if bindings is None:
-        return 0
-    exit_code = 0
-    for name, model in models.items():
-        try:
-            # Unbound parameters take their probe values, as in `repro net`.
-            bound, net = unroll(model, wanted[name])
-        except PMDLError as exc:
-            print(f"error binding {name}: {exc}", file=sys.stderr)
-            return 1
-        diags = check_coverage(net, bound)
-        print(f"{name}: {len(diags)} coverage finding(s)")
-        for diag in diags:
-            print(f"  {diag.render()}")
-        if diags:
-            exit_code = 1
-    return exit_code
+    return 0
 
 
 def _check_targets(args: argparse.Namespace) -> list[tuple[str, str, dict | None]]:
-    """(name, source, externals) triples for ``check``/``net`` targets.
+    """(name, source, externals) triples for the ``check`` targets.
 
     The built-in app targets carry their real external functions so the
     net checks can unroll their schemes (matmul's ``GetProcessor``).
@@ -243,38 +166,17 @@ def _check_targets(args: argparse.Namespace) -> list[tuple[str, str, dict | None
     targets: list[tuple[str, str, dict | None]] = []
     for path in args.files:
         targets.append((path, open(path).read(), None))
-    if args.apps:
+    if args.apps is not None:
         from .apps.em3d.model import EM3D_MODEL_SOURCE
         from .apps.jacobi.model import JACOBI_MODEL_SOURCE
         from .apps.matmul.model import MM_MODEL_SOURCE, make_get_processor
-        targets += [("<app:em3d>", EM3D_MODEL_SOURCE, None),
-                    ("<app:matmul>", MM_MODEL_SOURCE,
-                     {"GetProcessor": make_get_processor()}),
-                    ("<app:jacobi>", JACOBI_MODEL_SOURCE, None)]
+        apps = {"em3d": (EM3D_MODEL_SOURCE, None),
+                "matmul": (MM_MODEL_SOURCE,
+                           {"GetProcessor": make_get_processor()}),
+                "jacobi": (JACOBI_MODEL_SOURCE, None)}
+        targets += [(f"<app:{name}>", *apps[name])
+                    for name in args.apps or APPS]
     return targets
-
-
-def _net_dots(targets: list[tuple[str, str, dict | None]]) -> str:
-    """Concatenated DOT digraphs of every target's unrolled net.
-
-    Targets that cannot be unrolled (parse errors, unbound externals,
-    failing probe binding) contribute a comment instead of a graph —
-    mirroring the PM084 skip semantics of the checks themselves.
-    """
-    from .perfmodel import compile_source
-    from .perfmodel.netcheck import unroll
-
-    chunks: list[str] = []
-    for name, source, externals in targets:
-        try:
-            models = compile_source(source, externals=externals, analyze=False)
-            for mname, model in models.items():
-                _, net = unroll(model)
-                chunks.append(f"// {name}: {mname}")
-                chunks.append(net.to_dot(title=mname))
-        except PMDLError as exc:
-            chunks.append(f"// {name}: net unavailable: {exc}")
-    return "\n".join(chunks) + "\n"
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -282,15 +184,29 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     targets = _check_targets(args)
     if not targets:
-        print("nothing to check: pass model files and/or --apps",
-              file=sys.stderr)
-        return 2
+        raise OptionError("nothing to check: pass model files and/or --apps")
+    bindings = _parse_bindings(args.bind or [])
+    net = (args.net or args.bind is not None or args.dot is not None
+           or args.trace is not None)
+    # One compile and one unroll per algorithm: `nets` receives the net
+    # the checks ran on, and the summary, DOT and trace all draw it.
+    reports, algorithms = [], []
+    for target, source, externals in targets:
+        nets: dict = {}
+        reports.append(check_source(source, target=target, net=net,
+                                    externals=externals, bindings=bindings,
+                                    nets=nets))
+        algorithms += [(target, name, *entry) for name, entry in nets.items()]
+    unknown = set(bindings).difference(
+        p.name for _, _, alg, _, _ in algorithms for p in alg.params)
+    if unknown:
+        raise OptionError(f"--bind {', '.join(sorted(unknown))}: no algorithm "
+                          "has a parameter of that name")
+    if args.trace is not None and len(algorithms) != 1:
+        raise OptionError(f"--trace needs exactly one algorithm among the "
+                          f"targets, found {len(algorithms)}")
+    _writable(args.dot, args.trace)
 
-    net = args.net or args.net_dot is not None
-    reports = [
-        check_source(source, target=name, net=net, externals=externals)
-        for name, source, externals in targets
-    ]
     # One exit computation shared by both output paths: warnings-only
     # stays 0, --strict promotes warnings — identically for JSON and text.
     exit_code = max(r.exit_code(strict=args.strict) for r in reports)
@@ -299,69 +215,33 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         for report in reports:
             print(report.render())
-    if args.net_dot is not None:
-        with open(args.net_dot, "w") as fh:
-            fh.write(_net_dots(targets))
-    return exit_code
-
-
-def _cmd_net(args: argparse.Namespace) -> int:
-    from .perfmodel import compile_source
-    from .perfmodel.netcheck import check_net, unroll
-
-    args.files = [args.file] if args.file else []
-    args.apps = args.app is not None
-    targets = _check_targets(args)
-    if args.app is not None:
-        targets = [t for t in targets if t[0] == f"<app:{args.app}>"]
-    if not targets:
-        print("nothing to unroll: pass FILE or --app", file=sys.stderr)
-        return 2
-
-    bindings = _parse_bindings(args.bind) if args.bind else {}
-    exit_code = 0
-    dot_chunks: list[str] = []
-    traced = False
-    for name, source, externals in targets:
-        try:
-            models = compile_source(source, externals=externals, analyze=False)
-        except PMDLError as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            return 1
-        wanted = _bindings_per_model(models, bindings, name)
-        for mname, model in models.items():
-            try:
-                # User bindings override the probe defaults per parameter,
-                # so `--bind p=6` works without spelling out every value.
-                bound, net = unroll(model, wanted[mname])
-            except PMDLError as exc:
-                print(f"error binding {mname}: {exc}", file=sys.stderr)
-                return 1
-            print(f"{mname}: {net.summary()}")
-            for diag in check_net(bound, model.algorithm):
-                print(f"  {diag.render()}")
-                if diag.severity.name == "ERROR":
-                    exit_code = 1
-            if args.dot is not None:
-                dot_chunks.append(f"// {name}: {mname}")
-                dot_chunks.append(net.to_dot(title=mname))
-            if args.trace is not None and not traced:
-                from .core.netmodel import NetworkModel
-                from .obs.chrometrace import write_chrome_trace
-                from .obs.netexport import net_chrome_trace
-
-                cluster = paper_network()
-                netmodel = NetworkModel(cluster, list(range(cluster.size)))
-                machines = [i % cluster.size for i in range(bound.nproc)]
-                doc = net_chrome_trace(bound, netmodel, machines, net=net)
-                write_chrome_trace(args.trace, doc)
-                print(f"{mname}: predicted schedule written to {args.trace} "
-                      f"(machines {machines})")
-                traced = True
+        if net:
+            for _, name, _, _, cnet in algorithms:
+                print(f"{name}: {cnet.summary() if cnet else 'no net built'}")
     if args.dot is not None:
         with open(args.dot, "w") as fh:
-            fh.write("\n".join(dot_chunks) + "\n")
-        print(f"net DOT written to {args.dot}")
+            fh.write("\n".join(
+                f"// {target}: {name}\n" + (cnet.to_dot(title=name) if cnet
+                                            else "// no net built")
+                for target, name, _, _, cnet in algorithms) + "\n")
+    # a net asked for at given values or for a trace must exist
+    unbuilt = [name for _, name, _, _, cnet in algorithms if cnet is None]
+    if unbuilt and (args.bind is not None or args.trace is not None):
+        print(f"error: no net built for {', '.join(unbuilt)} (see the "
+              "diagnostics)", file=sys.stderr)
+        return 1
+    if args.trace is not None:
+        from .core.netmodel import NetworkModel
+        from .obs.chrometrace import write_chrome_trace
+        from .obs.netexport import net_chrome_trace
+
+        _, _, _, bound, cnet = algorithms[0]
+        # the paper cluster, one process per machine round-robin
+        cluster = cluster_from_spec("paper")
+        netmodel = NetworkModel(cluster, list(range(cluster.size)))
+        machines = [i % cluster.size for i in range(bound.nproc)]
+        write_chrome_trace(args.trace, net_chrome_trace(
+            bound, netmodel, machines, net=cnet))
     return exit_code
 
 
@@ -556,19 +436,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("compile", help="compile and check a PMDL model file")
+    pc = sub.add_parser("compile", help="compile a PMDL model file and "
+                                        "print its canonical source")
     pc.add_argument("file")
-    pc.add_argument("--bind", nargs="+", metavar="NAME=VALUE", default=None,
-                    help="bind parameters (JSON values; the rest take "
-                         "probe values) and check the scheme's coverage "
-                         "of the declared volumes; findings exit nonzero")
     pc.set_defaults(fn=_cmd_compile)
 
     pchk = sub.add_parser(
-        "check", help="static analysis of PMDL files (no parameter binding)")
+        "check", help="check PMDL models; --net also unrolls and checks "
+                      "their communication nets")
     pchk.add_argument("files", nargs="*", metavar="FILE")
-    pchk.add_argument("--apps", action="store_true",
-                      help="also check the built-in application models")
+    pchk.add_argument("--apps", nargs="*", choices=APPS, default=None,
+                      metavar="APP",
+                      help="also check the built-in application models "
+                           f"(all, or the named ones: {', '.join(APPS)})")
     pchk.add_argument("--strict", action="store_true",
                       help="exit nonzero on warnings, not just errors")
     pchk.add_argument("--json", action="store_true",
@@ -578,27 +458,17 @@ def build_parser() -> argparse.ArgumentParser:
                            "net and run the PM08x structural checks "
                            "(deadlock, orphan messages, multiplicity, "
                            "unreachable transitions)")
-    pchk.add_argument("--net-dot", default=None, metavar="FILE",
+    pchk.add_argument("--bind", nargs="+", metavar="NAME=VALUE", default=None,
+                      help="run the net checks at these parameter values "
+                           "(JSON; the rest take probe values; implies --net)")
+    pchk.add_argument("--dot", default=None, metavar="FILE",
                       help="write the unrolled nets as Graphviz DOT "
                            "(implies --net)")
+    pchk.add_argument("--trace", default=None, metavar="FILE",
+                      help="write the one algorithm's predicted firing "
+                           "schedule as Chrome-trace JSON (paper cluster, "
+                           "round-robin mapping; implies --net)")
     pchk.set_defaults(fn=_cmd_check)
-
-    pn = sub.add_parser(
-        "net", help="unroll a PMDL scheme into its communication net")
-    pn.add_argument("file", nargs="?", default=None, metavar="FILE")
-    pn.add_argument("--app", choices=["em3d", "matmul", "jacobi"],
-                    default=None,
-                    help="unroll a built-in application model instead")
-    pn.add_argument("--bind", nargs="+", metavar="NAME=VALUE", default=None,
-                    help="bind parameters (JSON values); default is the "
-                         "automatic probe binding")
-    pn.add_argument("--dot", default=None, metavar="FILE",
-                    help="write the net as Graphviz DOT")
-    pn.add_argument("--trace", default=None, metavar="FILE",
-                    help="write the predicted firing schedule as "
-                         "Chrome-trace JSON (paper cluster, round-robin "
-                         "mapping)")
-    pn.set_defaults(fn=_cmd_net)
 
     pk = sub.add_parser("cluster", help="dump a preset cluster as JSON")
     pk.add_argument("--preset", choices=list(CLUSTER_PRESETS),
@@ -622,9 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
 
     pt = sub.add_parser(
-        "trace", help="run an instrumented scenario, write Chrome-trace "
-                      "JSON, print metrics + accuracy")
-    _scenario_flags(pt)
+        "trace", help="run one campaign cell observed: write its Chrome "
+                      "trace, print metrics + accuracy")
+    pt.add_argument("config", metavar="CONFIG",
+                    help="campaign JSON file (examples/campaigns/trace_*.json)")
+    pt.add_argument("--cell", type=int, default=0,
+                    help="index of the expanded cell to run (default 0; "
+                         "see campaign list)")
     pt.add_argument("--out", default="trace.json",
                     help="Chrome-trace output path (default trace.json)")
     pt.add_argument("--metrics", default=None, metavar="PATH",
@@ -685,13 +559,18 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except OptionError as exc:
         # Usage errors (bad registry strings, malformed campaign configs
-        # or --bind/--fail values, CampaignError) exit like argparse does:
+        # or --bind values, CampaignError) exit like argparse does:
         # message + code 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ClusterError as exc:
-        # A cluster file that does not parse: bad input, one line, code 1.
+    except (ClusterError, PMDLError) as exc:
+        # A cluster file or model that does not parse: one line, code 1.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # An input that cannot be read or an output that cannot be written.
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

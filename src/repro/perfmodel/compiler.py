@@ -64,6 +64,8 @@ def _front_end(
     assume_declared: bool,
     analyze: bool,
     net_check: bool,
+    bindings: dict[str, Any] | None = None,
+    nets: dict | None = None,
 ) -> Iterator[_Checked]:
     """Check ``source`` definition by definition, in source order.
 
@@ -108,9 +110,12 @@ def _front_end(
             continue
         diags = analyze_algorithm(item, structs) if analyze else []
         errors = [d for d in diags if d.severity >= Severity.ERROR]
+        if nets is not None:
+            nets[item.name] = (item, None, None)  # until a net is built
         if net_check and not errors:
             # a model the analyzer refuses is not unrolled
-            diags += check_algorithm_net(item, structs, called, externals)
+            diags += check_algorithm_net(item, structs, called, externals,
+                                         bindings, nets)
             errors = [d for d in diags if d.severity >= Severity.ERROR]
         error = None
         if errors:
@@ -158,7 +163,9 @@ def compile_source(
 
 def check_source(source: str, target: str = "<source>", *,
                  net: bool = False,
-                 externals: dict | None = None) -> DiagnosticReport:
+                 externals: dict | None = None,
+                 bindings: dict[str, Any] | None = None,
+                 nets: dict | None = None) -> DiagnosticReport:
     """Full static check of PMDL source text, never raising for model bugs.
 
     Parser and semantic failures become ``PM001``/``PM002`` error
@@ -171,12 +178,16 @@ def check_source(source: str, target: str = "<source>", *,
     binding and the PM08x structural checks run
     (:mod:`repro.perfmodel.netcheck`); ``externals``
     supplies real implementations of called functions so schemes using
-    them can unroll (otherwise they skip with PM084).
+    them can unroll (otherwise they skip with PM084).  ``bindings``
+    replaces the probe value of each parameter an algorithm declares.
+    ``nets``, when given, receives ``nets[name] = (algorithm, bound,
+    net)`` for each algorithm past the semantic check: the bound model and
+    net the checks ran on, or None, None when no net was built.
     """
     report = DiagnosticReport(target=target)
     for _, _, diags, _ in _front_end(
             source, externals, assume_declared=True, analyze=True,
-            net_check=net):
+            net_check=net, bindings=bindings, nets=nets):
         report.extend(diags)
     report.sort()
     return report

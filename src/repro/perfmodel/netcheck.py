@@ -21,7 +21,7 @@ Rules:
   self pairs included) perform a total percentage other than 100% of
   it, any action performs a share of a zero volume, or an action
   performs a negative percentage.  :func:`check_coverage` is the only
-  code that decides this; ``repro compile --bind`` runs it alone.
+  code that decides this.
 - **PM083** ``net-unreachable-transition`` (warning) — an action
   statement in the scheme that emits no transition at the probe binding
   (e.g. a condition that can never hold).
@@ -32,8 +32,8 @@ Rules:
 Entry points: :func:`check_net` for an existing bound model,
 :func:`check_model_net` for a compiled :class:`PerformanceModel`,
 :func:`check_algorithm_net` for the compiler front end's AST-level
-pipeline, and :func:`unroll` — the one probe-bind-and-lower step the
-checks and the ``repro net`` / ``repro check --net-dot`` exports share.
+pipeline, and :func:`unroll` — the one probe-bind-and-lower step.
+``repro check --dot``/``--trace`` draw the very net the checks ran on.
 """
 
 from __future__ import annotations
@@ -245,19 +245,24 @@ def check_net(
 
 
 def check_model_net(
-    pm: PerformanceModel, bindings: dict[str, Any] | None = None
+    pm: PerformanceModel, bindings: dict[str, Any] | None = None,
+    nets: dict | None = None,
 ) -> list[Diagnostic]:
-    """Bind (probe values unless given), lower, and check one model."""
+    """Bind (probe values unless given), lower, and check one model;
+    ``nets[pm.name] = (pm.algorithm, bound, net)`` records what was checked.
+    """
     try:
         bound, net = unroll(pm, bindings, MAX_NET_EVENTS)
+        if nets is not None:
+            nets[pm.name] = (pm.algorithm, bound, net)
         return _check_lowered(net, bound, pm.algorithm)
     except NetTooLarge as exc:
         return _too_large(exc)
     except PMDLError as exc:
         return [PM084.at(
             0, f"net analysis skipped: {exc}",
-            hint="supply concrete parameters (repro net --bind) or the "
-                 "scheme's external functions to enable net checks",
+            hint="supply concrete parameters (repro check --bind) or "
+                 "the scheme's external functions to enable net checks",
         )]
 
 
@@ -266,14 +271,17 @@ def check_algorithm_net(
     structs: dict[str, ast.StructDef],
     called: set[str],
     externals: dict[str, Callable[..., Any]] | None = None,
+    bindings: dict[str, Any] | None = None,
+    nets: dict | None = None,
 ) -> list[Diagnostic]:
-    """Net checks for the front end: wrap the AST, probe-bind, check.
+    """Net checks for the front end: wrap the AST, bind, check.
 
     ``called`` is the set of function names ``alg`` calls, which the
     front end has already collected.  Schemes calling external functions
     with no binding cannot be unrolled truthfully (a stub would fabricate
     coordinates); those skip with PM084 unless ``externals`` provides the
-    real callables.
+    real callables.  ``bindings`` overrides the probe value of each
+    parameter ``alg`` declares; ``nets`` is as for :func:`check_model_net`.
     """
     missing = called - set(externals or {})
     if missing:
@@ -285,4 +293,6 @@ def check_algorithm_net(
                  "enable net checks",
         )]
     pm = PerformanceModel(alg, structs, externals)
-    return check_model_net(pm)
+    wanted = {name: value for name, value in (bindings or {}).items()
+              if name in pm.param_names}
+    return check_model_net(pm, wanted, nets)

@@ -161,7 +161,8 @@ class TestIterativeDriver:
 
 class TestShippedCampaignFiles:
     @pytest.mark.parametrize("name", [
-        "mapper_ablation", "ft_sweep", "churn_reselect", "ci_smoke"])
+        "mapper_ablation", "ft_sweep", "churn_reselect", "ci_smoke",
+        "trace_jacobi", "trace_matmul"])
     def test_configs_load_and_expand(self, name):
         cfg = load_config(CAMPAIGNS / f"{name}.json")
         specs = cfg.expand()
@@ -188,6 +189,18 @@ class TestShippedCampaignFiles:
                 model, netmodel, list(range(cluster.size)),
                 {model.parent_index(): 0})
             assert by[name] == mapping.time, name
+
+    @pytest.mark.parametrize("name", ["trace_jacobi", "trace_matmul"])
+    def test_observed_cell_keeps_its_metrics(self, name):
+        # `repro trace` attaches an Observability to the cell's HMPI run;
+        # watching must not change a single metric
+        from repro.campaign import run_one
+        from repro.obs import Observability
+        cfg = load_config(CAMPAIGNS / f"{name}.json")
+        spec = cfg.expand()[0]
+        obs = Observability()
+        assert run_one(cfg, spec, obs=obs) == run_one(cfg, spec)
+        assert obs.chrome_trace()["traceEvents"]
 
     def test_ci_smoke_matches_committed_baseline(self):
         from repro.campaign import check_against_baseline, load_baseline

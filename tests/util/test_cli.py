@@ -8,7 +8,11 @@ import pytest
 
 from repro.cli import build_parser, main
 
-RING = str(Path(__file__).parents[2] / "examples" / "models" / "ring.pmdl")
+ROOT = Path(__file__).parents[2]
+RING = str(ROOT / "examples" / "models" / "ring.pmdl")
+TRACE_JACOBI = str(ROOT / "examples" / "campaigns" / "trace_jacobi.json")
+TRACE_MATMUL = str(ROOT / "examples" / "campaigns" / "trace_matmul.json")
+TRACE_EM3D = str(ROOT / "examples" / "campaigns" / "trace_em3d.json")
 
 
 class TestParser:
@@ -16,7 +20,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @pytest.mark.parametrize("command", ["stats", "monitor"])
+    @pytest.mark.parametrize("command", ["stats", "monitor", "net"])
     def test_retired_commands_are_invalid_choices(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command])
@@ -105,13 +109,19 @@ class TestTopologyCommands:
 
 class TestBadInput:
     """A bad option or input file exits with its code (2 for usage, 1
-    for a file that does not parse), one ``error:`` line and no stdout."""
+    for a file that cannot be read, does not parse or cannot be
+    written), one ``error:`` line and no stdout.  ``{file}`` is a path
+    in a fresh directory; ``{file}/x`` is therefore unwritable."""
 
     NOT_SNAPSHOT = {"single_port": False, "links": []}
     SQUARE_WITHOUT_PERIOD = {"machines": [
         {"name": "a", "speed": 1.0, "load": {"kind": "square", "high": 0.9}}]}
     UNKNOWN_PRESET = ("unknown topology preset 'nope'; available: "
                       "clusters_of_clusters, two_site")
+    DEATH_NOT_A_TIME = {"name": "t", "app": "jacobi_ft",
+                        "axes": {"deaths": [{"2": "soon"}]}}
+    MISSING = "{file}: [Errno 2] No such file or directory: '{file}'"
+    UNWRITABLE = "{file}/x: [Errno 2] No such file or directory: '{file}/x'"
 
     @pytest.mark.parametrize("argv, content, code, message", [
         (["topology", "show", "--preset", "nope"], None, 2, UNKNOWN_PRESET),
@@ -125,16 +135,39 @@ class TestBadInput:
         (["topology", "show", "--file", "{file}"], "{", 1,
          "{file}: Expecting property name enclosed in double quotes: "
          "line 1 column 2 (char 1)"),
-        (["topology", "check", "--file", "{file}"], None, 1,
-         "{file}: [Errno 2] No such file or directory: '{file}'"),
-        (["compile", RING, "--bind", "p=abc"], None, 2,
-         "--bind p: 'abc' is not valid JSON"),
-        (["compile", RING, "--bind", "q=1"], None, 2,
-         f"--bind q: no algorithm in {RING} has a parameter of that name"),
+        (["topology", "check", "--file", "{file}"], None, 1, MISSING),
+        (["compile", "{file}"], None, 1, MISSING),
+        (["check", "{file}"], None, 1, MISSING),
+        (["check", RING, "--dot", "{file}/x"], None, 1, UNWRITABLE),
+        (["check", "--apps", "jacobi", "--trace", "{file}/x"], None, 1,
+         UNWRITABLE),
+        (["check"], None, 2,
+         "nothing to check: pass model files and/or --apps"),
+        (["check", "--apps", "jacobi", "--bind", "N=abc"], None, 2,
+         "--bind N: 'abc' is not valid JSON"),
+        (["check", RING, "--bind", "q=1"], None, 2,
+         "--bind q: no algorithm has a parameter of that name"),
+        (["check", "--apps", "--trace", "{file}"], None, 2,
+         "--trace needs exactly one algorithm among the targets, found 3"),
+        (["trace", "{file}"], None, 2, "no campaign file at {file}"),
+        (["trace", "{file}"], DEATH_NOT_A_TIME, 2,
+         "bad deaths spec {'2': 'soon'}: could not convert string to float: "
+         "'soon'"),
+        (["trace", TRACE_JACOBI, "--cell", "2"], None, 2,
+         "--cell 2: campaign 'trace_jacobi' has 2 cell(s)"),
+        (["trace", TRACE_JACOBI, "--out", "{file}/x"], None, 1, UNWRITABLE),
+        (["trace", TRACE_JACOBI, "--out", "{file}", "--metrics", "{file}/x"],
+         None, 1, UNWRITABLE),
     ], ids=["show-unknown-preset", "check-unknown-preset", "show-no-target",
             "file-without-machines", "file-square-without-period",
-            "file-not-json", "file-missing", "compile-bind-not-json",
-            "compile-bind-unknown-name"])
+            "file-not-json", "file-missing", "compile-missing",
+            "check-missing", "check-dot-unwritable",
+            "check-trace-unwritable", "check-no-target",
+            "check-bind-not-json",
+            "check-bind-unknown-name", "check-trace-not-one-algorithm",
+            "trace-missing-config", "trace-deaths-not-a-time",
+            "trace-cell-out-of-range",
+            "trace-out-unwritable", "trace-metrics-unwritable"])
     def test_exits_with_one_error_line_and_no_stdout(
             self, argv, content, code, message, tmp_path, capsys):
         path = str(tmp_path / "world.json")
@@ -146,6 +179,8 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message.replace('{file}', path)}\n"
+        if content is None:  # a rejected command leaves no file behind
+            assert not Path(path).exists()
 
 
 class TestCheckCommand:
@@ -269,7 +304,7 @@ class TestCheckNet:
     def test_net_dot_writes_graphs_and_implies_net(self, tmp_path, capsys):
         f = self.FIXTURES / "net_orphan.pmdl"
         dot = tmp_path / "net.dot"
-        assert main(["check", str(f), "--net-dot", str(dot), "--strict"]) == 1
+        assert main(["check", str(f), "--dot", str(dot), "--strict"]) == 1
         out = capsys.readouterr().out
         assert "PM081" in out  # --net implied
         text = dot.read_text()
@@ -277,29 +312,34 @@ class TestCheckNet:
 
 
 class TestNetCommand:
+    """``check --net`` unrolls each algorithm once: its summary line, the
+    PM08x checks, ``--dot`` and ``--trace`` all read that one net."""
+
     FIXTURES = __import__("pathlib").Path(__file__).parent.parent \
         / "perfmodel" / "fixtures"
 
     def test_summary_and_deadlock_exit(self, capsys):
         f = self.FIXTURES / "net_deadlock.pmdl"
-        assert main(["net", str(f)]) == 1
+        assert main(["check", str(f), "--net"]) == 1
         out = capsys.readouterr().out
-        assert "transitions" in out and "PM080" in out
+        assert "NetDeadlock: net: 4 processors" in out and "PM080" in out
 
     def test_app_matmul_unrolls(self, capsys):
-        assert main(["net", "--app", "matmul"]) == 0
+        assert main(["check", "--apps", "matmul", "--net"]) == 0
         out = capsys.readouterr().out
-        assert "ParallelAxB" in out and "transitions" in out
+        assert "ParallelAxB: net:" in out and "transitions" in out
+        assert "<app:em3d>" not in out
 
     def test_dot_output(self, tmp_path, capsys):
         dot = tmp_path / "em3d.dot"
-        assert main(["net", "--app", "em3d", "--dot", str(dot)]) == 0
+        assert main(["check", "--apps", "em3d", "--dot", str(dot)]) == 0
         assert "digraph" in dot.read_text()
+        assert "Em3d: net:" in capsys.readouterr().out  # --net implied
 
     def test_trace_output_is_valid_chrome_json(self, tmp_path, capsys):
         from repro.obs import validate_chrome_trace
         out = tmp_path / "net_trace.json"
-        assert main(["net", "--app", "jacobi", "--trace", str(out)]) == 0
+        assert main(["check", "--apps", "jacobi", "--trace", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert validate_chrome_trace(doc) == []
         assert any(e.get("ph") == "X" for e in doc["traceEvents"])
@@ -320,19 +360,29 @@ class TestNetCommand:
           };
         }
         """)
-        assert main(["net", str(src), "--bind", "p=6"]) == 0
+        assert main(["check", str(src), "--bind", "p=6"]) == 0
         out = capsys.readouterr().out
         assert "6 processors" in out
 
     def test_no_target_is_usage_error(self, capsys):
-        assert main(["net"]) == 2
+        assert main(["check", "--net"]) == 2
+
+    def test_bind_that_cannot_unroll_exits_one(self, capsys):
+        # p=-1 gives v[p] no shape: the net asked for was not built
+        assert main(["check", RING, "--bind", "p=-1"]) == 1
+        out, err = capsys.readouterr()
+        assert "PM084" in out and "Ring: no net built" in out
+        assert err == "error: no net built for Ring (see the diagnostics)\n"
 
     def test_unknown_bind_name_is_usage_error(self, capsys):
-        assert main(["net", RING, "--bind", "q=6"]) == 2
+        # N is Jacobi's, not Ring's: a name any target declares is valid
+        assert main(["check", RING, "--apps", "jacobi", "--bind", "N=8"]) == 0
+        capsys.readouterr()
+        assert main(["check", RING, "--apps", "jacobi", "--bind", "q=6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: --bind q: no algorithm in {RING} "
-                                "has a parameter of that name\n")
+        assert captured.err == ("error: --bind q: no algorithm has a "
+                                "parameter of that name\n")
 
 
 class TestCompileGating:
@@ -343,7 +393,7 @@ class TestCompileGating:
         assert "PM010" in capsys.readouterr().err
 
     def test_bind_runs_linter_and_gates(self, tmp_path, capsys):
-        # the binding-level coverage check (PM082) decides the exit code
+        # the coverage check (PM082) warns; --strict makes it gate
         f = tmp_path / "under.pmdl"
         f.write_text("""
         algorithm Bad(int p) {
@@ -352,11 +402,12 @@ class TestCompileGating:
           scheme { int i; par (i = 0; i < p; i++) 50%%[i]; };
         }
         """)
-        assert main(["compile", str(f)]) == 0
+        assert main(["check", str(f)]) == 0
         capsys.readouterr()
-        assert main(["compile", str(f), "--bind", "p=3"]) == 1
+        assert main(["check", str(f), "--bind", "p=3"]) == 0
+        assert main(["check", str(f), "--bind", "p=3", "--strict"]) == 1
         out = capsys.readouterr().out
-        assert "Bad: 3 coverage finding(s)" in out
+        assert "0 error(s), 3 warning(s)" in out
         assert "PM082" in out and "50.0000%" in out
 
     def test_bind_consistent_model_exits_zero(self, tmp_path, capsys):
@@ -368,35 +419,33 @@ class TestCompileGating:
           scheme { int i; par (i = 0; i < p; i++) 100%%[i]; };
         }
         """)
-        assert main(["compile", str(f), "--bind", "p=4"]) == 0
-        assert "Ok: 0 coverage finding(s)" in capsys.readouterr().out
+        assert main(["check", str(f), "--bind", "p=4", "--strict"]) == 0
+        assert "Ok: net: 4 processors" in capsys.readouterr().out
 
     def test_bind_leaves_other_parameters_at_probe_values(self, capsys):
         # v[p] is not bound: it takes the probe's all-ones at p=7
-        assert main(["compile", RING, "--bind", "p=7"]) == 0
-        assert "Ring: 0 coverage finding(s)" in capsys.readouterr().out
+        assert main(["check", RING, "--bind", "p=7", "--strict"]) == 0
+        assert "Ring: net: 7 processors" in capsys.readouterr().out
 
     def test_unknown_bind_name_is_usage_error(self, capsys):
-        assert main(["compile", RING, "--bind", "q=6"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: --bind q: no algorithm in {RING} "
-            "has a parameter of that name\n")
+        # compile no longer binds: `check --bind` is the one way in
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", RING, "--bind", "p=6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bind" in capsys.readouterr().err
 
 
 class TestMalformedValues:
-    """A malformed --bind/--fail value is a usage error: exit 2, one line."""
+    """A malformed --bind value is a usage error: exit 2, one line, for a
+    model file, with --net and for a bundled app alike."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["compile", RING, "--bind", "p"],
+        (["check", RING, "--bind", "p"],
          "--bind expects NAME=VALUE, got 'p'"),
-        (["compile", RING, "--bind", "p=abc"],
+        (["check", RING, "--bind", "p=abc"],
          "--bind p: 'abc' is not valid JSON"),
-        (["net", RING, "--bind", "p"],
+        (["check", "--apps", "jacobi", "--net", "--bind", "p"],
          "--bind expects NAME=VALUE, got 'p'"),
-        (["trace", "--fail", "m02"],
-         "--fail expects MACHINE=VTIME, got 'm02'"),
-        (["trace", "--fail", "m02=soon"],
-         "--fail m02: 'soon' is not a number"),
     ])
     def test_exits_two_with_one_error_line(self, argv, message, capsys):
         assert main(argv) == 2
@@ -546,7 +595,7 @@ class TestObservabilityCommands:
 
         out = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
-        assert main(["trace", "--out", str(out),
+        assert main(["trace", TRACE_JACOBI, "--out", str(out),
                      "--metrics", str(metrics)]) == 0
         doc = json.loads(out.read_text())
         assert validate_chrome_trace(doc) == []
@@ -554,25 +603,32 @@ class TestObservabilityCommands:
         snap = json.loads(metrics.read_text())
         names = {s["name"] for s in snap["metrics"]}
         assert "hmpi.repairs" in names
-        assert "Perfetto" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Perfetto" in out and "repairs=1" in out
 
     def test_trace_matmul_fault_free(self, tmp_path):
         out = tmp_path / "mm.json"
-        assert main(["trace", "--app", "matmul", "--n", "9",
-                     "--out", str(out)]) == 0
+        assert main(["trace", TRACE_MATMUL, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         names = {e["name"] for e in doc["traceEvents"]}
         assert "HMPI_Timeof" in names
+        assert doc["otherData"]["campaign"] == "trace_matmul"
 
     def test_trace_prints_metrics_and_accuracy_tables(self, tmp_path,
                                                        capsys):
-        assert main(["trace", "--app", "matmul", "--n", "9",
+        assert main(["trace", TRACE_MATMUL,
                      "--out", str(tmp_path / "mm.json")]) == 0
         out = capsys.readouterr().out
+        assert "trace_matmul cell 0 (n=9)" in out
         assert "Metrics snapshot" in out
         assert "hmpi.selection.cache_misses" in out
         assert "Timeof prediction accuracy" in out
         assert "ParallelAxB" in out
+
+    def test_trace_reaches_em3d(self, tmp_path, capsys):
+        assert main(["trace", TRACE_EM3D,
+                     "--out", str(tmp_path / "em3d.json")]) == 0
+        assert re.search(r"^ Em3d \|", capsys.readouterr().out, re.M)
 
 
 class TestCampaignLiveAndMonitor:
