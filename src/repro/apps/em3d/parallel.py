@@ -1,4 +1,4 @@
-"""Parallel EM3D: the algorithm, the MPI baseline, and the HMPI version.
+"""Parallel EM3D: the algorithm, and its MPI-baseline and HMPI programs.
 
 The algorithm (paper Section 3) per iteration and per sub-body:
 
@@ -14,6 +14,8 @@ other group"); in the HMPI version the group comes from
 ``HMPI_Group_create`` with the Figure 4 model, so big sub-bodies land on
 fast machines.  The numerical work is identical in both, which the test
 suite exploits: both runs must produce bit-identical field checksums.
+Both run through :mod:`repro.apps.program`; this module adds the recon
+benchmark, the plan step and the ``procs_per_machine`` placement.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 
 from ...cluster.network import Cluster
 from ...core.mapper import Mapper
-from ...core.runtime import HMPI, run_hmpi
+from ...core.runtime import HMPI
 from ...mpi.communicator import Comm
-from ...mpi.launcher import MPIEnv, run_mpi
 from ...util.errors import ReproError
+from ..program import run_baseline, run_selected
 from .model import bind_em3d_model
 from .problem import EM3DProblem, SubBody
 from .serial import make_recon_benchmark, update_field
@@ -55,6 +57,13 @@ def _copy_body(body: SubBody) -> SubBody:
         e_weights=body.e_weights,  # read-only in the kernel
         h_weights=body.h_weights,
     )
+
+
+def _algorithm(problem: EM3DProblem, niter: int, k: int):
+    def algorithm(compute, comm, _layout):
+        return em3d_algorithm(compute, comm, problem, niter, k)
+
+    return algorithm
 
 
 def em3d_algorithm(
@@ -109,17 +118,15 @@ def em3d_algorithm(
     return float(body.e_values.sum() + body.h_values.sum())
 
 
-def _timed_region(comm: Comm, compute, problem, niter, k):
-    """Barrier-bracketed algorithm execution; returns (checksum_sum, elapsed)."""
-    comm.barrier()
-    t0 = comm.wtime()
-    local = em3d_algorithm(compute, comm, problem, niter, k)
-    comm.barrier()
-    elapsed = comm.wtime() - t0
-    from ...mpi.ops import SUM
-
-    total = comm.allreduce(local, SUM)
-    return total, elapsed
+def _result(run) -> EM3DRunResult:
+    return EM3DRunResult(
+        algorithm_time=run.algorithm_time,
+        makespan=run.makespan,
+        checksum=run.output,
+        group_world_ranks=run.group_world_ranks,
+        predicted_time=run.predicted_time,
+        group_machines=run.group_machines,
+    )
 
 
 def run_em3d_mpi(
@@ -140,27 +147,8 @@ def run_em3d_mpi(
     if p > cluster.size:
         raise ReproError(f"problem has {p} sub-bodies but cluster only "
                          f"{cluster.size} machines")
-
-    def app(env: MPIEnv):
-        me = env.rank
-        is_executing = 1 if me < p else 0
-        em3dcomm = env.comm_world.split(is_executing, key=me)
-        if not is_executing:
-            return None
-        total, elapsed = _timed_region(em3dcomm, env.compute, problem, niter, k)
-        ranks = em3dcomm.group.world_ranks
-        em3dcomm.free()
-        return (total, elapsed, ranks)
-
-    result = run_mpi(app, cluster, timeout=timeout, engine=engine)
-    total, elapsed, ranks = result.results[0]
-    return EM3DRunResult(
-        algorithm_time=elapsed,
-        makespan=result.makespan,
-        checksum=total,
-        group_world_ranks=tuple(ranks),
-        group_machines=tuple(ranks),
-    )
+    return _result(run_baseline(cluster, p, _algorithm(problem, niter, k),
+                                timeout=timeout, engine=engine))
 
 
 def run_em3d_hmpi(
@@ -194,38 +182,15 @@ def run_em3d_hmpi(
         raise ReproError(f"problem has {p} sub-bodies but cluster only "
                          f"{cluster.size * procs_per_machine} process slots")
 
-    def app(hmpi: HMPI):
-        if recon:
-            hmpi.recon(make_recon_benchmark(k))
+    def plan(hmpi: HMPI):
         bound = bind_em3d_model(problem, k)
         predicted = hmpi.timeof(bound, iterations=niter) if hmpi.is_host() else None
-        gid = hmpi.group_create(bound)
-        out = None
-        if gid.is_member:
-            comm = gid.comm
-            conc = gid.my_concurrency
-
-            def member_compute(volume, _conc=conc):
-                return hmpi.compute(volume, _conc)
-
-            total, elapsed = _timed_region(comm, member_compute, problem, niter, k)
-            if hmpi.is_host():
-                # The model prices one iteration of the exchange.
-                hmpi.record_measured(bound, elapsed / max(1, niter))
-            out = (total, elapsed, gid.world_ranks, predicted,
-                   gid.mapping.machines)
-            hmpi.group_free(gid)
-        return out
+        return bound, predicted, None
 
     placement = [m for m in range(cluster.size) for _ in range(procs_per_machine)]
-    result = run_hmpi(app, cluster, placement=placement, mapper=mapper,
-                      timeout=timeout, obs=obs, engine=engine)
-    total, elapsed, ranks, predicted, machines = result.results[0]
-    return EM3DRunResult(
-        algorithm_time=elapsed,
-        makespan=result.makespan,
-        checksum=total,
-        group_world_ranks=tuple(ranks),
-        predicted_time=predicted,
-        group_machines=tuple(machines),
-    )
+    # The model prices one iteration of the exchange.
+    return _result(run_selected(
+        cluster, plan, _algorithm(problem, niter, k), recon=recon,
+        benchmark=make_recon_benchmark(k), iterations=niter,
+        placement=placement, mapper=mapper, timeout=timeout, obs=obs,
+        engine=engine))

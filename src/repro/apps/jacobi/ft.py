@@ -8,11 +8,12 @@ sweeps; when a typed failure surfaces — :class:`RankFailedError` from a
 halo exchange, an :class:`OperationTimeoutError`, a collateral wake —
 the survivors call ``group_repair``, roll back to the latest *complete*
 checkpoint, re-partition the interior rows over the repaired group, and
-continue.  Because every decomposition of the Jacobi sweep computes the
-same grid, the final result must be **bitwise identical** to a fault-free
-run (and to the serial reference) no matter when or how often the group
-was repaired — the invariant the differential fault-injection campaign in
-``tests/ft`` asserts.
+continue (one solver sweep call per checkpoint interval).  Because every
+decomposition of the Jacobi sweep computes the same grid, the final
+result must be **bitwise identical** to a fault-free run (and to the
+serial reference) no matter when or how often the group was repaired —
+the invariant the differential fault-injection campaign in ``tests/ft``
+asserts.
 
 Free processes loop in ``group_create`` so the repair can draft them as
 replacements; the host dismisses them with ``release_free`` once the
@@ -39,7 +40,13 @@ from ...util.errors import (
     ReproError,
 )
 from .model import bind_jacobi_model
-from .solver import initial_grid, partition_rows
+from .solver import (
+    assemble_grid,
+    cut_panel,
+    jacobi_panel_sweep,
+    panel_starts,
+    partition_rows,
+)
 
 __all__ = ["JacobiFTResult", "run_jacobi_ft"]
 
@@ -66,19 +73,6 @@ class JacobiFTResult:
     error: str | None = None
 
 
-def _restore_grid(n: int, seed: int, parts) -> np.ndarray:
-    """Reassemble the full grid from checkpoint parts.
-
-    Parts are ``(start_row, panel_interior)`` pairs; they may come from
-    any partition (the pre-failure group's), so reassembly goes by the
-    recorded start rows, not by the current partition.
-    """
-    grid = initial_grid(n, seed)
-    for start, block in parts:
-        grid[start:start + len(block), :] = block
-    return grid
-
-
 def _sweep_resumable(hmpi: HMPI, gid, store: CheckpointStore, n: int,
                      niter: int, k: int, seed: int,
                      checkpoint_every: int) -> np.ndarray | None:
@@ -102,34 +96,23 @@ def _sweep_resumable(hmpi: HMPI, gid, store: CheckpointStore, n: int,
     else:
         header = None
     done, rows = comm.bcast(header, root=0)
-    if done > 0:
-        grid = _restore_grid(n, seed, charged_load(hmpi, store, _KEY, done))
-    else:
-        grid = initial_grid(n, seed)
-    start = 1 + sum(rows[:me])
-    my_rows = rows[me]
-    panel = grid[start - 1:start + my_rows + 1].copy()
+    # Checkpoint parts carry their own first rows: they may come from the
+    # pre-failure group's partition, not the current one.
+    parts = charged_load(hmpi, store, _KEY, done) if done > 0 else ()
+    start, panel = cut_panel(assemble_grid(n, seed, parts), rows, me)
     conc = gid.my_concurrency
+
+    def compute(volume):
+        return hmpi.compute(volume, conc)
 
     sweep_t0 = hmpi.env.wtime()
     ckpt_cost = 0.0
-    for it in range(done, niter):
-        if me > 0:
-            comm.send(panel[1].copy(), me - 1, tag=it)
-        if me < p - 1:
-            comm.send(panel[-2].copy(), me + 1, tag=it)
-        if me > 0:
-            panel[0] = comm.recv(me - 1, tag=it)
-        if me < p - 1:
-            panel[-1] = comm.recv(me + 1, tag=it)
-        interior = 0.25 * (panel[:-2, 1:-1] + panel[2:, 1:-1]
-                           + panel[1:-1, :-2] + panel[1:-1, 2:])
-        panel[1:-1, 1:-1] = interior
-        hmpi.compute(my_rows * n / k, conc)
-        completed = it + 1
-        if completed % checkpoint_every == 0 or completed == niter:
-            ckpt_cost += charged_save(hmpi, store, _KEY, completed, me, p,
-                                      (start, panel[1:-1]))
+    saves = [it for it in range(done + 1, niter + 1)
+             if it % checkpoint_every == 0 or it == niter]
+    for first, stop in zip([done] + saves, saves):
+        jacobi_panel_sweep(compute, comm, n, rows, panel, range(first, stop), k)
+        ckpt_cost += charged_save(hmpi, store, _KEY, stop, me, p,
+                                  (start, panel[1:-1]))
 
     # Close the prediction loop: the model prices one sweep, so report
     # the per-iteration time of this epoch (checkpoint charges excluded —
@@ -147,12 +130,7 @@ def _sweep_resumable(hmpi: HMPI, gid, store: CheckpointStore, n: int,
     comm.bcast(True, root=0)
     if me != 0:
         return None
-    out = initial_grid(n, seed)
-    row = 1
-    for block in panels:
-        out[row:row + len(block), :] = block
-        row += len(block)
-    return out
+    return assemble_grid(n, seed, zip(panel_starts(rows), panels))
 
 
 def run_jacobi_ft(

@@ -7,6 +7,8 @@ baseline, speed-proportionally for HMPI — and exchange one halo row with
 each neighbour per iteration.  The updates are genuinely computed (NumPy),
 and the assembled result grid must be identical for every decomposition,
 which the tests assert against the serial reference.
+Both run through :mod:`repro.apps.program`.  The halo sweep
+(:func:`jacobi_panel_sweep`) and :func:`assemble_grid` also serve :mod:`.ft`.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import numpy as np
 
 from ...cluster.network import Cluster
 from ...core.mapper import Mapper
-from ...core.runtime import HMPI, run_hmpi
+from ...core.runtime import HMPI
 from ...mpi.communicator import Comm
-from ...mpi.launcher import MPIEnv, run_mpi
 from ...util.errors import ReproError
 from ..matmul.distribution import proportional_partition
+from ..program import run_baseline, run_selected
 from .model import bind_jacobi_model
 
 __all__ = [
@@ -64,31 +66,47 @@ def partition_rows(n: int, weights) -> list[int]:
     return [int(x) for x in proportional_partition(n - 2, np.asarray(weights, dtype=float))]
 
 
+def panel_starts(rows: list[int]) -> list[int]:
+    """First interior grid row of each panel, in group-rank order."""
+    return [1 + sum(rows[:i]) for i in range(len(rows))]
+
+
+def cut_panel(grid: np.ndarray, rows: list[int], me: int):
+    """Group rank ``me``'s panel of ``grid`` with one halo row above and
+    below; returns ``(first_row, panel)``, the panel a private copy."""
+    start = panel_starts(rows)[me]
+    return start, grid[start - 1:start + rows[me] + 1].copy()
+
+
+def assemble_grid(n: int, seed: int, parts) -> np.ndarray:
+    """The starting grid with each ``(first_row, interior_block)`` part
+    written over it — the one way a result or a checkpoint becomes a grid.
+    """
+    grid = initial_grid(n, seed)
+    for start, block in parts:
+        grid[start:start + len(block), :] = block
+    return grid
+
+
 def jacobi_panel_sweep(
     compute,
     comm: Comm,
     n: int,
     rows: list[int],
-    niter: int,
+    panel: np.ndarray,
+    iterations: range,
     k: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Run the panel algorithm on one member; returns the member's final
-    panel (interior rows only)."""
+) -> None:
+    """Run the sweeps numbered ``iterations`` on one member's ``panel``
+    (from :func:`cut_panel`), in place; the sweep number tags its halo
+    messages."""
     p = comm.size
     if len(rows) != p:
         raise ReproError(f"rows has {len(rows)} entries for {p} ranks")
     if sum(rows) != n - 2:
         raise ReproError("rows must cover exactly the interior")
     me = comm.rank
-    start = 1 + sum(rows[:me])          # first interior row owned
-    my_rows = rows[me]
-
-    full = initial_grid(n, seed)
-    # panel with one halo row above and below
-    panel = full[start - 1:start + my_rows + 1].copy()
-
-    for it in range(niter):
+    for it in iterations:
         # halo exchange with neighbours (boundary rows are fixed walls)
         if me > 0:
             comm.send(panel[1].copy(), me - 1, tag=it)
@@ -101,9 +119,7 @@ def jacobi_panel_sweep(
         interior = 0.25 * (panel[:-2, 1:-1] + panel[2:, 1:-1]
                            + panel[1:-1, :-2] + panel[1:-1, 2:])
         panel[1:-1, 1:-1] = interior
-        compute(my_rows * n / k)
-
-    return panel[1:-1]
+        compute(rows[me] * n / k)
 
 
 @dataclass
@@ -116,21 +132,30 @@ class JacobiRunResult:
     predicted_time: float | None = None
 
 
-def _timed_region(comm, compute, n, rows, niter, k, seed):
-    comm.barrier()
-    t0 = comm.wtime()
-    panel = jacobi_panel_sweep(compute, comm, n, rows, niter, k, seed)
-    comm.barrier()
-    elapsed = comm.wtime() - t0
-    panels = comm.gather(panel, root=0)
-    grid = None
-    if comm.rank == 0:
-        grid = initial_grid(n, seed)
-        row = 1
-        for block in panels:
-            grid[row:row + len(block), :] = block
-            row += len(block)
-    return grid, elapsed
+def _program(n: int, niter: int, k: int, seed: int):
+    """The panel algorithm and its gather, over a ``rows`` layout."""
+
+    def algorithm(compute, comm, rows):
+        _, panel = cut_panel(initial_grid(n, seed), rows, comm.rank)
+        jacobi_panel_sweep(compute, comm, n, rows, panel, range(niter), k)
+        return panel[1:-1]
+
+    def collect(comm, panel, rows):
+        panels = comm.gather(panel, root=0)
+        if comm.rank != 0:
+            return None
+        return assemble_grid(n, seed, zip(panel_starts(rows), panels))
+
+    return algorithm, collect
+
+
+def _result(run) -> JacobiRunResult:
+    return JacobiRunResult(
+        algorithm_time=run.algorithm_time, makespan=run.makespan,
+        grid=run.output, rows=run.layout,
+        group_world_ranks=run.group_world_ranks,
+        predicted_time=run.predicted_time,
+    )
 
 
 def run_jacobi_mpi(
@@ -147,24 +172,10 @@ def run_jacobi_mpi(
     """Uniform row panels on the first ``p`` world processes."""
     if p > cluster.size:
         raise ReproError(f"need {p} machines, cluster has {cluster.size}")
-    rows = partition_rows(n, [1.0] * p)
-
-    def app(env: MPIEnv):
-        executing = 1 if env.rank < p else 0
-        comm = env.comm_world.split(executing, key=env.rank)
-        if not executing:
-            return None
-        grid, elapsed = _timed_region(comm, env.compute, n, rows, niter, k, seed)
-        ranks = comm.group.world_ranks
-        comm.free()
-        return (grid, elapsed, ranks)
-
-    result = run_mpi(app, cluster, timeout=timeout, engine=engine)
-    grid, elapsed, ranks = result.results[0]
-    return JacobiRunResult(
-        algorithm_time=elapsed, makespan=result.makespan, grid=grid,
-        rows=rows, group_world_ranks=tuple(ranks),
-    )
+    algorithm, collect = _program(n, niter, k, seed)
+    return _result(run_baseline(
+        cluster, p, algorithm, partition_rows(n, [1.0] * p), collect,
+        timeout=timeout, engine=engine))
 
 
 def run_jacobi_hmpi(
@@ -184,15 +195,14 @@ def run_jacobi_hmpi(
 
     The host reads the (recon-refreshed) speed estimates, sizes the panels
     for an intended speed-sorted arrangement with itself first (the model
-    pins ``parent[0]`` to the host), and creates the group for the Jacobi
-    model; the selection matches panel volumes to machine speeds.
+    pins ``parent[0]`` to the host), and broadcasts them; everyone binds
+    the Jacobi model, whose selection matches panel volumes to machine
+    speeds.
     """
     if p > cluster.size:
         raise ReproError(f"need {p} machines, cluster has {cluster.size}")
 
-    def app(hmpi: HMPI):
-        if recon:
-            hmpi.recon()
+    def plan(hmpi: HMPI):
         if hmpi.is_host():
             speeds = hmpi.state.netmodel.speeds().tolist()
             host_speed = speeds[hmpi.env.machine_index]
@@ -207,26 +217,10 @@ def run_jacobi_hmpi(
         rows = hmpi.comm_world.bcast(rows, root=0)
         bound = bind_jacobi_model(p, k, n, rows)
         predicted = hmpi.timeof(bound, iterations=niter) if hmpi.is_host() else None
+        return bound, predicted, rows
 
-        gid = hmpi.group_create(bound, mapper=mapper)
-        out = None
-        if gid.is_member:
-            comm = gid.comm
-            conc = gid.my_concurrency
-
-            def member_compute(volume, _c=conc):
-                return hmpi.compute(volume, _c)
-
-            grid, elapsed = _timed_region(comm, member_compute, n, rows,
-                                          niter, k, seed)
-            out = (grid, elapsed, gid.world_ranks, predicted, rows)
-            hmpi.group_free(gid)
-        return out
-
-    result = run_hmpi(app, cluster, mapper=mapper, timeout=timeout,
-                      engine=engine)
-    grid, elapsed, ranks, predicted, rows = result.results[0]
-    return JacobiRunResult(
-        algorithm_time=elapsed, makespan=result.makespan, grid=grid,
-        rows=rows, group_world_ranks=tuple(ranks), predicted_time=predicted,
-    )
+    algorithm, collect = _program(n, niter, k, seed)
+    return _result(run_selected(
+        cluster, plan, algorithm, collect,
+        recon=recon, iterations=niter,
+        mapper=mapper, timeout=timeout, obs=None, engine=engine))

@@ -1,4 +1,4 @@
-"""MPI-baseline and HMPI drivers for parallel matrix multiplication.
+"""MPI-baseline and HMPI programs for parallel matrix multiplication.
 
 The baseline (paper: "the standard MPI application using homogeneous 2D
 block-cyclic data distribution") runs the identical algorithm with the
@@ -8,6 +8,8 @@ The HMPI version follows Figure 8: Recon with the serial r×r
 multiplication benchmark, a Timeof sweep to choose the optimal generalized
 block size, Group_create with the Figure 7 model, then the algorithm on
 the created group with the heterogeneous distribution.
+Both run through :mod:`repro.apps.program`; the plan step is the host's
+block-size sweep and the broadcast of its choice.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import numpy as np
 from ...cluster.network import Cluster
 from ...core.mapper import Mapper
 from ...core.recon import kernel_benchmark, matmul_kernel
-from ...core.runtime import HMPI, run_hmpi
-from ...mpi.launcher import MPIEnv, run_mpi
-from ...mpi.ops import SUM
+from ...core.runtime import HMPI
 from ...util.errors import ReproError
+from ..program import run_baseline, run_selected
 from .algorithm import matmul_algorithm
 from .distribution import (
     BlockDistribution,
@@ -75,15 +76,24 @@ def candidate_block_sizes(n: int, m: int) -> list[int]:
     return [l for l in range(m, n + 1) if n % l == 0]
 
 
-def _timed_region(comm, compute, dist, r, seed):
-    comm.barrier()
-    t0 = comm.wtime()
-    c_blocks = matmul_algorithm(compute, comm, dist, r, seed)
-    comm.barrier()
-    elapsed = comm.wtime() - t0
-    local_sum = float(sum(b.sum() for b in c_blocks.values()))
-    total = comm.allreduce(local_sum, SUM)
-    return total, elapsed
+def _algorithm(r: int, seed: int):
+    def algorithm(compute, comm, dist):
+        c_blocks = matmul_algorithm(compute, comm, dist, r, seed)
+        return float(sum(b.sum() for b in c_blocks.values()))
+
+    return algorithm
+
+
+def _result(run) -> MatmulRunResult:
+    return MatmulRunResult(
+        algorithm_time=run.algorithm_time,
+        makespan=run.makespan,
+        checksum=run.output,
+        group_world_ranks=run.group_world_ranks,
+        block_size_l=run.layout.l,
+        predicted_time=run.predicted_time,
+        distribution=run.layout,
+    )
 
 
 def run_matmul_mpi(
@@ -100,29 +110,9 @@ def run_matmul_mpi(
     if m * m > cluster.size:
         raise ReproError(f"grid {m}x{m} needs {m * m} machines, "
                          f"cluster has {cluster.size}")
-    dist = homogeneous_distribution(n, m)
-
-    def app(env: MPIEnv):
-        me = env.rank
-        executing = 1 if me < m * m else 0
-        grid_comm = env.comm_world.split(executing, key=me)
-        if not executing:
-            return None
-        total, elapsed = _timed_region(grid_comm, env.compute, dist, r, seed)
-        ranks = grid_comm.group.world_ranks
-        grid_comm.free()
-        return (total, elapsed, ranks)
-
-    result = run_mpi(app, cluster, timeout=timeout, engine=engine)
-    total, elapsed, ranks = result.results[0]
-    return MatmulRunResult(
-        algorithm_time=elapsed,
-        makespan=result.makespan,
-        checksum=total,
-        group_world_ranks=tuple(ranks),
-        block_size_l=m,
-        distribution=dist,
-    )
+    return _result(run_baseline(
+        cluster, m * m, _algorithm(r, seed), homogeneous_distribution(n, m),
+        timeout=timeout, engine=engine))
 
 
 def run_matmul_hmpi(
@@ -152,10 +142,7 @@ def run_matmul_hmpi(
         raise ReproError(f"grid {m}x{m} needs {m * m} machines, "
                          f"cluster has {cluster.size}")
 
-    def app(hmpi: HMPI):
-        if recon:
-            hmpi.recon(kernel_benchmark(matmul_kernel(r)))
-
+    def plan(hmpi: HMPI):
         # Host decides distribution + block size; everyone needs the same
         # model to participate in group_create, so broadcast the choice.
         if hmpi.is_host():
@@ -177,38 +164,17 @@ def run_matmul_hmpi(
             # reuses the selection Timeof just solved.
             model = bind_matmul_model(dist, r)
             predicted = hmpi.timeof(model, mapper=mapper)
+            # chosen_l == dist.l; the payload keeps both (its size sets
+            # the broadcast's virtual time).
             choice = (chosen_l, dist, predicted)
         else:
             choice = None
-        chosen_l, dist, predicted = hmpi.comm_world.bcast(choice, root=0)
+        _, dist, predicted = hmpi.comm_world.bcast(choice, root=0)
         if not hmpi.is_host():
             model = bind_matmul_model(dist, r)
+        return model, predicted, dist
 
-        gid = hmpi.group_create(model, mapper=mapper)
-        out = None
-        if gid.is_member:
-            comm = gid.comm
-            conc = gid.my_concurrency
-
-            def member_compute(volume, _conc=conc):
-                return hmpi.compute(volume, _conc)
-
-            total, elapsed = _timed_region(comm, member_compute, dist, r, seed)
-            if hmpi.is_host():
-                hmpi.record_measured(model, elapsed)
-            out = (total, elapsed, gid.world_ranks, chosen_l, predicted, dist)
-            hmpi.group_free(gid)
-        return out
-
-    result = run_hmpi(app, cluster, mapper=mapper, timeout=timeout, obs=obs,
-                      engine=engine)
-    total, elapsed, ranks, chosen_l, predicted, dist = result.results[0]
-    return MatmulRunResult(
-        algorithm_time=elapsed,
-        makespan=result.makespan,
-        checksum=total,
-        group_world_ranks=tuple(ranks),
-        block_size_l=chosen_l,
-        predicted_time=predicted,
-        distribution=dist,
-    )
+    return _result(run_selected(
+        cluster, plan, _algorithm(r, seed),
+        recon=recon, benchmark=kernel_benchmark(matmul_kernel(r)),
+        mapper=mapper, timeout=timeout, obs=obs, engine=engine))

@@ -359,6 +359,18 @@ def _world_factory(params: dict, rng: np.random.Generator):
     return world
 
 
+def _versus(mpi, hmpi, checksum_ok: bool, group_machines) -> dict:
+    """The metrics of one MPI-baseline-against-HMPI cell."""
+    return {
+        "mpi_time": float(mpi.algorithm_time),
+        "hmpi_time": float(hmpi.algorithm_time),
+        "predicted_time": float(hmpi.predicted_time),
+        "speedup": float(mpi.algorithm_time / hmpi.algorithm_time),
+        "checksum_ok": bool(checksum_ok),
+        "group_machines": [int(m) for m in group_machines],
+    }
+
+
 def _em3d_recon(params: dict, rng: np.random.Generator, obs) -> dict:
     problem = generate_problem(
         p=int(params["p"]),
@@ -366,25 +378,18 @@ def _em3d_recon(params: dict, rng: np.random.Generator, obs) -> dict:
         seed=int(params["problem_seed"]),
         boundary_fraction=float(params["boundary_fraction"]),
     )
-    niter = int(params["niter"])
-    k = int(params["k"])
+    run = {"niter": int(params["niter"]), "k": int(params["k"]),
+           "timeout": params["timeout"], "engine": params["engine"]}
     world = _world_factory(params, rng)
-    mpi = run_em3d_mpi(world(), problem, niter=niter, k=k,
-                       timeout=params["timeout"], engine=params["engine"])
+    mpi = run_em3d_mpi(world(), problem, **run)
     hmpi = run_em3d_hmpi(
-        world(), problem, niter=niter, k=k,
-        mapper=params["mapper"], recon=bool(params["recon"]),
-        procs_per_machine=int(params["procs_per_machine"]),
-        timeout=params["timeout"], engine=params["engine"], obs=obs,
+        world(), problem, **run, mapper=params["mapper"],
+        recon=bool(params["recon"]),
+        procs_per_machine=int(params["procs_per_machine"]), obs=obs,
     )
-    return {
-        "mpi_time": float(mpi.algorithm_time),
-        "hmpi_time": float(hmpi.algorithm_time),
-        "predicted_time": float(hmpi.predicted_time),
-        "speedup": float(mpi.algorithm_time / hmpi.algorithm_time),
-        "checksum_ok": bool(mpi.checksum == hmpi.checksum),
-        "group_machines": [int(m) for m in hmpi.group_machines],
-    }
+    # identical numerics: the checksums agree bit for bit
+    return _versus(mpi, hmpi, mpi.checksum == hmpi.checksum,
+                   hmpi.group_machines)
 
 
 # ----------------------------------------------------------------------
@@ -392,25 +397,19 @@ def _em3d_recon(params: dict, rng: np.random.Generator, obs) -> dict:
 # ----------------------------------------------------------------------
 
 def _matmul_run(params: dict, rng: np.random.Generator, obs) -> dict:
-    shape = {"n": int(params["n"]), "r": int(params["r"]),
-             "m": int(params["m"]), "seed": int(params["seed"])}
+    run = {"n": int(params["n"]), "r": int(params["r"]),
+           "m": int(params["m"]), "seed": int(params["seed"]),
+           "timeout": params["timeout"], "engine": params["engine"]}
     l = None if params["l"] is None else int(params["l"])
     world = _world_factory(params, rng)
-    mpi = run_matmul_mpi(world(), **shape, timeout=params["timeout"],
-                         engine=params["engine"])
-    hmpi = run_matmul_hmpi(world(), **shape, l=l, mapper=params["mapper"],
-                           timeout=params["timeout"],
-                           engine=params["engine"], obs=obs)
-    return {
-        "mpi_time": float(mpi.algorithm_time),
-        "hmpi_time": float(hmpi.algorithm_time),
-        "predicted_time": float(hmpi.predicted_time),
-        "speedup": float(mpi.algorithm_time / hmpi.algorithm_time),
-        "checksum_ok": math.isclose(hmpi.checksum, mpi.checksum,
-                                    rel_tol=1e-9),
-        # one process per machine: world ranks are machine indices
-        "group_machines": [int(r) for r in hmpi.group_world_ranks],
-    }
+    mpi = run_matmul_mpi(world(), **run)
+    hmpi = run_matmul_hmpi(world(), **run, l=l, mapper=params["mapper"],
+                           obs=obs)
+    # The distributions sum the products in different orders; one
+    # process per machine, so world ranks are machine indices.
+    return _versus(mpi, hmpi,
+                   math.isclose(hmpi.checksum, mpi.checksum, rel_tol=1e-9),
+                   hmpi.group_world_ranks)
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,9 @@ Commands
     snapshot (selection-cache statistics included) and the Timeof
     prediction-accuracy table.  ``--metrics PATH`` also writes the
     snapshot as JSON.  ``examples/campaigns/trace_*.json`` hold the
-    standard scenarios.
+    standard scenarios.  A cell that records no engine events and no
+    runtime spans (a selection-only driver such as ``timeof_em3d``) has
+    nothing to trace: it exits 1 and writes no file.
 ``campaign run/check/list``
     Declarative scenario campaigns (see ``docs/CAMPAIGNS.md``): ``run``
     executes every cell of a campaign JSON and writes ``results.jsonl``
@@ -94,6 +96,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     _writable(args.out, args.metrics)
     obs = Observability()
     metrics = run_one(config, spec, obs=obs)
+    if not obs.spans and not len(obs.tracer or ()):
+        print(f"error: {config.name} cell {spec.index}: driver "
+              f"{config.driver.name} recorded no engine events and no "
+              f"runtime spans; nothing to trace", file=sys.stderr)
+        return 1
     cell = ", ".join(f"{k}={v}" for k, v in sorted(spec.cell.items()))
     print(f"{config.name} cell {spec.index} ({cell}), driver "
           f"{config.driver.name}:")

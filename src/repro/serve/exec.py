@@ -15,7 +15,8 @@ State an executor accumulates is pure cache:
 - one :class:`WorldContext` per cluster digest, whose
   :class:`~repro.core.runtime.HMPIRuntimeState` selects and caches
   exactly as ``HMPI_Timeof`` / ``HMPI_Group_create`` do inside a run;
-- lowered communication nets per model digest (trace export).
+- lowered communication nets per bound model, keyed like the bindings
+  (trace export: a net unrolls one binding).
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from ..util.errors import ClusterError, OptionError, PMDLError, ReproError
 from .protocol import PROTOCOL_VERSION, BadRequest, JobRequest
 
 __all__ = ["Executor", "WorldContext", "stub_externals"]
+
+def _bind_key(req: JobRequest) -> tuple:
+    """One bound model per (model digest, algorithm, params)."""
+    return (req.model_digest, req.algorithm,
+            None if req.params is None
+            else json.dumps(req.params, sort_keys=True))
+
 
 class WorldContext:
     """Everything the server knows about one cluster digest.
@@ -75,7 +83,7 @@ class Executor:
     def __init__(self) -> None:
         self.worlds: OrderedDict[str, WorldContext] = OrderedDict()
         self._models: dict[tuple, Any] = {}
-        self._nets: dict[str, Any] = {}
+        self._nets: dict[tuple, Any] = {}
 
     # -- building blocks ----------------------------------------------
     def world(self, req: JobRequest) -> WorldContext:
@@ -108,10 +116,7 @@ class Executor:
         except PMDLError as exc:
             raise BadRequest(f"model does not compile: {exc}") from exc
 
-        bind_key = (req.model_digest, req.algorithm,
-                    None if req.params is None
-                    else json.dumps(req.params, sort_keys=True))
-        bound = self._models.get(bind_key)
+        bound = self._models.get(_bind_key(req))
         if bound is None:
             try:
                 if req.params is None:
@@ -122,7 +127,7 @@ class Executor:
                     bound = pmodel.bind(*req.params)
             except (PMDLError, TypeError) as exc:
                 raise BadRequest(f"cannot bind model: {exc}") from exc
-            self._models[bind_key] = bound
+            self._models[_bind_key(req)] = bound
             while len(self._models) > 256:
                 self._models.pop(next(iter(self._models)))
         return bound
@@ -231,14 +236,13 @@ class Executor:
         ctx = self.world(req)
         ctx.apply_speeds(req.speeds)
         mapping = ctx.state.select(model, req.mapper)
-        assert req.model_digest is not None
-        net = self._nets.get(req.model_digest)
+        net = self._nets.get(_bind_key(req))
         if net is None:
             try:
                 net = lower_model(model)
             except (PMDLError, ReproError) as exc:
                 raise BadRequest(f"model cannot lower to a net: {exc}") from exc
-            self._nets[req.model_digest] = net
+            self._nets[_bind_key(req)] = net
             while len(self._nets) > 64:
                 self._nets.pop(next(iter(self._nets)))
         return net_chrome_trace(

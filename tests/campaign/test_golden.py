@@ -2,8 +2,8 @@
 
 Three freezes protect downstream consumers of campaign results:
 
-* a byte-for-byte golden JSONL for the shipped mapper-ablation and
-  Figure 9/10/11 campaigns (any drift in selection, seeding, simulation
+* a byte-for-byte golden JSONL for the shipped mapper-ablation,
+  fault-tolerance sweep and Figure 9/10/11 campaigns (any drift in selection, seeding, simulation
   or serialization shows up here);
 * EXPERIMENTS.md's Figure 9/10/11 tables are renderings of those golden
   rows, and the rows keep the paper's shape (who wins, by how much); and
@@ -90,6 +90,11 @@ class TestSchemaGuard:
 class TestGoldenResults:
     def test_mapper_ablation_matches_golden_bytes(self):
         assert_matches_golden("mapper_ablation")
+
+    def test_ft_sweep_matches_golden_bytes(self):
+        # Machine deaths, transient drops and checkpoint rollback through
+        # the fault-tolerant Jacobi path.
+        assert_matches_golden("ft_sweep")
 
     @pytest.mark.parametrize("name", FIGURES)
     def test_figure_matches_golden_bytes(self, name):

@@ -162,6 +162,28 @@ class TestServedCacheIsTransparent:
         assert c["speed_epoch"] > a["speed_epoch"]
 
 
+class TestTraceCacheIsTransparent:
+    def test_traces_of_one_source_with_other_params_match_fresh_executors(self):
+        # A net unrolls one binding: the ring at p=3 and p=6 lowers to
+        # different nets, so the cache must not hand one to the other.
+        import pathlib
+
+        ring = (pathlib.Path(__file__).parents[2] / "examples" / "models"
+                / "ring.pmdl").read_text()
+
+        def ring_request(p, algorithm=None):
+            raw = {"op": "timeof", "model": ring, "cluster": "paper",
+                   "params": {"p": p, "v": [10] * p}}
+            if algorithm is not None:
+                raw["algorithm"] = algorithm
+            return validate_request(raw)
+
+        shared = Executor()
+        for request in (ring_request(3), ring_request(6),
+                        ring_request(3, "Ring")):
+            assert shared.trace(request) == Executor().trace(request)
+
+
 class TestHTTPBitwise:
     def test_round_trip_over_the_wire_is_exact(self):
         from repro.hmpi import connect

@@ -13,6 +13,7 @@ RING = str(ROOT / "examples" / "models" / "ring.pmdl")
 TRACE_JACOBI = str(ROOT / "examples" / "campaigns" / "trace_jacobi.json")
 TRACE_MATMUL = str(ROOT / "examples" / "campaigns" / "trace_matmul.json")
 TRACE_EM3D = str(ROOT / "examples" / "campaigns" / "trace_em3d.json")
+MAPPER_ABLATION = str(ROOT / "examples" / "campaigns" / "mapper_ablation.json")
 
 
 class TestParser:
@@ -158,6 +159,9 @@ class TestBadInput:
         (["trace", TRACE_JACOBI, "--out", "{file}/x"], None, 1, UNWRITABLE),
         (["trace", TRACE_JACOBI, "--out", "{file}", "--metrics", "{file}/x"],
          None, 1, UNWRITABLE),
+        (["trace", MAPPER_ABLATION, "--out", "{file}"], None, 1,
+         "mapper_ablation cell 0: driver timeof_em3d recorded no engine "
+         "events and no runtime spans; nothing to trace"),
     ], ids=["show-unknown-preset", "check-unknown-preset", "show-no-target",
             "file-without-machines", "file-square-without-period",
             "file-not-json", "file-missing", "compile-missing",
@@ -167,7 +171,8 @@ class TestBadInput:
             "check-bind-unknown-name", "check-trace-not-one-algorithm",
             "trace-missing-config", "trace-deaths-not-a-time",
             "trace-cell-out-of-range",
-            "trace-out-unwritable", "trace-metrics-unwritable"])
+            "trace-out-unwritable", "trace-metrics-unwritable",
+            "trace-selection-only-driver"])
     def test_exits_with_one_error_line_and_no_stdout(
             self, argv, content, code, message, tmp_path, capsys):
         path = str(tmp_path / "world.json")
