@@ -59,13 +59,6 @@ def _copy_body(body: SubBody) -> SubBody:
     )
 
 
-def _algorithm(problem: EM3DProblem, niter: int, k: int):
-    def algorithm(compute, comm, _layout):
-        return em3d_algorithm(compute, comm, problem, niter, k)
-
-    return algorithm
-
-
 def em3d_algorithm(
     compute,
     comm: Comm,
@@ -118,15 +111,15 @@ def em3d_algorithm(
     return float(body.e_values.sum() + body.h_values.sum())
 
 
-def _result(run) -> EM3DRunResult:
-    return EM3DRunResult(
-        algorithm_time=run.algorithm_time,
-        makespan=run.makespan,
-        checksum=run.output,
-        group_world_ranks=run.group_world_ranks,
-        predicted_time=run.predicted_time,
-        group_machines=run.group_machines,
-    )
+def _algorithm(niter: int, k: int):
+    return lambda compute, comm, problem: em3d_algorithm(
+        compute, comm, problem, niter, k)
+
+
+def _result(checksum, _problem, elapsed, makespan, ranks, machines,
+            predicted=None) -> EM3DRunResult:
+    return EM3DRunResult(elapsed, makespan, checksum, ranks, predicted,
+                         machines)
 
 
 def run_em3d_mpi(
@@ -147,8 +140,8 @@ def run_em3d_mpi(
     if p > cluster.size:
         raise ReproError(f"problem has {p} sub-bodies but cluster only "
                          f"{cluster.size} machines")
-    return _result(run_baseline(cluster, p, _algorithm(problem, niter, k),
-                                timeout=timeout, engine=engine))
+    return run_baseline(cluster, p, _algorithm(niter, k), problem, _result,
+                        timeout=timeout, engine=engine)
 
 
 def run_em3d_hmpi(
@@ -185,12 +178,12 @@ def run_em3d_hmpi(
     def plan(hmpi: HMPI):
         bound = bind_em3d_model(problem, k)
         predicted = hmpi.timeof(bound, iterations=niter) if hmpi.is_host() else None
-        return bound, predicted, None
+        return bound, predicted, problem
 
     placement = [m for m in range(cluster.size) for _ in range(procs_per_machine)]
     # The model prices one iteration of the exchange.
-    return _result(run_selected(
-        cluster, plan, _algorithm(problem, niter, k), recon=recon,
+    return run_selected(
+        cluster, plan, _algorithm(niter, k), _result, recon=recon,
         benchmark=make_recon_benchmark(k), iterations=niter,
         placement=placement, mapper=mapper, timeout=timeout, obs=obs,
-        engine=engine))
+        engine=engine)

@@ -149,13 +149,9 @@ def _program(n: int, niter: int, k: int, seed: int):
     return algorithm, collect
 
 
-def _result(run) -> JacobiRunResult:
-    return JacobiRunResult(
-        algorithm_time=run.algorithm_time, makespan=run.makespan,
-        grid=run.output, rows=run.layout,
-        group_world_ranks=run.group_world_ranks,
-        predicted_time=run.predicted_time,
-    )
+def _result(grid, rows, elapsed, makespan, ranks, _machines,
+            predicted=None) -> JacobiRunResult:
+    return JacobiRunResult(elapsed, makespan, grid, rows, ranks, predicted)
 
 
 def run_jacobi_mpi(
@@ -173,9 +169,8 @@ def run_jacobi_mpi(
     if p > cluster.size:
         raise ReproError(f"need {p} machines, cluster has {cluster.size}")
     algorithm, collect = _program(n, niter, k, seed)
-    return _result(run_baseline(
-        cluster, p, algorithm, partition_rows(n, [1.0] * p), collect,
-        timeout=timeout, engine=engine))
+    return run_baseline(cluster, p, algorithm, partition_rows(n, [1.0] * p),
+                        _result, collect, timeout=timeout, engine=engine)
 
 
 def run_jacobi_hmpi(
@@ -220,7 +215,6 @@ def run_jacobi_hmpi(
         return bound, predicted, rows
 
     algorithm, collect = _program(n, niter, k, seed)
-    return _result(run_selected(
-        cluster, plan, algorithm, collect,
-        recon=recon, iterations=niter,
-        mapper=mapper, timeout=timeout, obs=None, engine=engine))
+    return run_selected(cluster, plan, algorithm, _result, collect,
+                        recon=recon, mapper=mapper, timeout=timeout,
+                        engine=engine)

@@ -84,16 +84,10 @@ def _algorithm(r: int, seed: int):
     return algorithm
 
 
-def _result(run) -> MatmulRunResult:
-    return MatmulRunResult(
-        algorithm_time=run.algorithm_time,
-        makespan=run.makespan,
-        checksum=run.output,
-        group_world_ranks=run.group_world_ranks,
-        block_size_l=run.layout.l,
-        predicted_time=run.predicted_time,
-        distribution=run.layout,
-    )
+def _result(checksum, dist, elapsed, makespan, ranks, _machines,
+            predicted=None) -> MatmulRunResult:
+    return MatmulRunResult(elapsed, makespan, checksum, ranks, dist.l,
+                           predicted, dist)
 
 
 def run_matmul_mpi(
@@ -110,9 +104,9 @@ def run_matmul_mpi(
     if m * m > cluster.size:
         raise ReproError(f"grid {m}x{m} needs {m * m} machines, "
                          f"cluster has {cluster.size}")
-    return _result(run_baseline(
+    return run_baseline(
         cluster, m * m, _algorithm(r, seed), homogeneous_distribution(n, m),
-        timeout=timeout, engine=engine))
+        _result, timeout=timeout, engine=engine)
 
 
 def run_matmul_hmpi(
@@ -174,7 +168,7 @@ def run_matmul_hmpi(
             model = bind_matmul_model(dist, r)
         return model, predicted, dist
 
-    return _result(run_selected(
-        cluster, plan, _algorithm(r, seed),
+    return run_selected(
+        cluster, plan, _algorithm(r, seed), _result,
         recon=recon, benchmark=kernel_benchmark(matmul_kernel(r)),
-        mapper=mapper, timeout=timeout, obs=obs, engine=engine))
+        mapper=mapper, timeout=timeout, obs=obs, engine=engine)

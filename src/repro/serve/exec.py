@@ -34,6 +34,7 @@ from .protocol import PROTOCOL_VERSION, BadRequest, JobRequest
 
 __all__ = ["Executor", "WorldContext", "stub_externals"]
 
+
 def _bind_key(req: JobRequest) -> tuple:
     """One bound model per (model digest, algorithm, params)."""
     return (req.model_digest, req.algorithm,
@@ -116,7 +117,8 @@ class Executor:
         except PMDLError as exc:
             raise BadRequest(f"model does not compile: {exc}") from exc
 
-        bound = self._models.get(_bind_key(req))
+        key = _bind_key(req)
+        bound = self._models.get(key)
         if bound is None:
             try:
                 if req.params is None:
@@ -127,7 +129,7 @@ class Executor:
                     bound = pmodel.bind(*req.params)
             except (PMDLError, TypeError) as exc:
                 raise BadRequest(f"cannot bind model: {exc}") from exc
-            self._models[_bind_key(req)] = bound
+            self._models[key] = bound
             while len(self._models) > 256:
                 self._models.pop(next(iter(self._models)))
         return bound
@@ -236,13 +238,14 @@ class Executor:
         ctx = self.world(req)
         ctx.apply_speeds(req.speeds)
         mapping = ctx.state.select(model, req.mapper)
-        net = self._nets.get(_bind_key(req))
+        key = _bind_key(req)
+        net = self._nets.get(key)
         if net is None:
             try:
                 net = lower_model(model)
             except (PMDLError, ReproError) as exc:
                 raise BadRequest(f"model cannot lower to a net: {exc}") from exc
-            self._nets[_bind_key(req)] = net
+            self._nets[key] = net
             while len(self._nets) > 64:
                 self._nets.pop(next(iter(self._nets)))
         return net_chrome_trace(
